@@ -45,7 +45,7 @@
 //!
 //! FLAGS
 //!   --out FILE        record: where to write the baseline (default
-//!                     BENCH_0.json; BENCH_2.json for micro, BENCH_3.json
+//!                     BENCH_1.json; BENCH_2.json for micro, BENCH_3.json
 //!                     for net, BENCH_4.json for shard, BENCH_5.json for
 //!                     crash, BENCH_6.json for wire)
 //!   --baseline FILE   check: baseline to compare against (same defaults)
@@ -225,7 +225,7 @@ fn main() {
     } else if first == "wire" {
         "BENCH_6.json"
     } else {
-        "BENCH_0.json"
+        "BENCH_1.json"
     };
     let mut out = String::from(default_file);
     let mut baseline_path = String::from(default_file);

@@ -12,7 +12,7 @@
 //! * **Work metrics** (WAL records replayed, cross-epoch drops, snapshot
 //!   count, the virtual downtime) are exact under the simulator — they
 //!   drift only when the recovery path changes — and are gated
-//!   ±tolerance against the committed baseline like `BENCH_0`–`4`.
+//!   ±tolerance against the committed baseline like `BENCH_1`–`4`.
 //! * **The recovery contract** is enforced *fresh* at both record and
 //!   check time: every cell must converge across its final view, the
 //!   restarted process must actually replay WAL records, and the

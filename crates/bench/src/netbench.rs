@@ -11,9 +11,9 @@
 //!
 //! * **Work metrics** (`total_msgs`, `payload_bytes`) are exact counts —
 //!   they drift only when the benchmark itself changes, and are gated
-//!   ±tolerance against the committed baseline like `BENCH_0`–`2`.
+//!   ±tolerance against the committed baseline like `BENCH_1`–`2`.
 //! * **`p99_us`** is a log₂-bucket bound, gated within one bucket of the
-//!   committed baseline per transport (`BENCH_0` percentile semantics).
+//!   committed baseline per transport (`BENCH_1` percentile semantics).
 //! * **Throughput** is wall-clock and host-dependent, so the absolute
 //!   number is informational; what `check` enforces fresh, on one host in
 //!   one process, is the *ratio*: the reactor must sustain at least
@@ -237,7 +237,7 @@ fn within_one_bucket(baseline: u64, current: u64) -> bool {
 
 /// Rounds `us` up to its log₂ bucket bound, matching the flight
 /// recorder's histogram resolution so percentiles stay comparable with
-/// the `BENCH_0` exchange histograms.
+/// the `BENCH_1` exchange histograms.
 fn log2_bucket_bound(us: u64) -> u64 {
     if us <= 1 {
         return us;

@@ -15,7 +15,7 @@
 //!   exchange ratio, the suppressed-diff count) are exact under the
 //!   virtual-time simulator — they drift only when the protocols
 //!   change — and are gated ±tolerance against the committed baseline
-//!   like `BENCH_0`–`3`.
+//!   like `BENCH_1`–`3`.
 //! * **Ratio ceilings** are the contract itself, enforced *fresh* at
 //!   both record and check time: the 256-node steady traffic ratio must
 //!   stay at or below [`SHARD_RATIO_CEILING_256`] (the flagship ≤25%

@@ -14,9 +14,11 @@
 //! * **`bytes_per_tick`** (v1 and v2) and **`total_msgs`** are exact
 //!   virtual-time measurements — the simulator is deterministic, so any
 //!   drift beyond ±tolerance is a protocol or codec change, not noise.
-//!   Compression must never change *how many* messages flow, only their
-//!   size; the suite asserts the v2 run's count exceeds v1's by at most
-//!   the one-off `CodecOffer` per directed link.
+//!   Compression must never change how many *data* messages flow; the
+//!   only change to the message count is exact and asserted by the suite
+//!   (see [`message_identity_violation`]): each fused `Data2` frame
+//!   replaces a `(Data, Sync)` pair, and negotiation adds one
+//!   `CodecOffer` per directed link at most.
 //! * **`exchange_us`** (mean per-process exchange time) is virtual time
 //!   too, gated ±tolerance; it is where the link-speed sweep shows up —
 //!   on 10 Mbps serialisation dominates and shrinking frames shortens
@@ -94,10 +96,9 @@ pub struct WireCell {
     /// Mean per-process exchange time compressed, virtual microseconds.
     /// Gated.
     pub v2_exchange_us: f64,
-    /// Cluster-wide message count of the v1 run. The v2 run's count may
-    /// exceed it only by the one-off `CodecOffer` per directed link
-    /// (asserted by the suite); compression changes frame sizes, never
-    /// message flow. Exact; gated.
+    /// Cluster-wide message count of the v1 run. The v2 run's count
+    /// differs from it by exactly the fused `Data2` frames and the
+    /// `CodecOffer`s (asserted by the suite). Exact; gated.
     pub total_msgs: u64,
 }
 
@@ -345,6 +346,41 @@ fn outcomes(summary: &RunSummary) -> Vec<(u64, i64)> {
     summary.per_node.iter().map(|s| (s.modifications, s.score)).collect()
 }
 
+/// The exact message-count identity between a v1 run and its compressed
+/// twin, or a description of how it broke. Compression must not change
+/// how many data messages flow. Every `Data2` frame is a whole
+/// `(Data, Sync)` pair, so it removes exactly one message, and
+/// negotiation adds the `CodecOffer`s, at most one per directed link:
+///
+/// * v2 data messages == v1 data messages;
+/// * v2 total == v1 total − `Data2` frames sent + `CodecOffer`s sent;
+/// * `CodecOffer`s sent ≤ n(n−1).
+fn message_identity_violation(v1: &RunSummary, v2: &RunSummary) -> Option<String> {
+    let n = v2.per_node.len() as u64;
+    let offer_budget = n * n.saturating_sub(1);
+    let fused: u64 = v2.per_node.iter().map(|s| s.dso.codec_v2_sent).sum();
+    let offers: u64 = v2.per_node.iter().map(|s| s.dso.codec_offers_sent).sum();
+    if v2.data_messages() != v1.data_messages() {
+        return Some(format!(
+            "compression changed the data message count: {} vs {}",
+            v1.data_messages(),
+            v2.data_messages()
+        ));
+    }
+    if offers > offer_budget {
+        return Some(format!("{offers} CodecOffers sent, more than one per directed link"));
+    }
+    let expected = (v1.total_messages() + offers).checked_sub(fused);
+    if expected != Some(v2.total_messages()) {
+        return Some(format!(
+            "message count {} is not v1's {} - {fused} Data2 + {offers} CodecOffers",
+            v2.total_messages(),
+            v1.total_messages()
+        ));
+    }
+    None
+}
+
 /// Runs the full sweep at a given shape and assembles the report.
 /// Progress lines go to stderr like the other suites'.
 ///
@@ -352,7 +388,8 @@ fn outcomes(summary: &RunSummary) -> Vec<(u64, i64)> {
 ///
 /// Returns run errors, and fails outright if any compressed run's game
 /// outcome diverges from its absolute twin (decode bit-identity broken)
-/// or their message counts differ.
+/// or their message counts break the exact identity of
+/// [`message_identity_violation`].
 pub fn run_wire_suite_with(teams: u16, ticks: u64) -> Result<WireReport, String> {
     let scenario = wire_scenario(teams, ticks);
     let mut cells = Vec::new();
@@ -373,19 +410,8 @@ pub fn run_wire_suite_with(teams: u16, ticks: u64) -> Result<WireReport, String>
                     outcomes(&v2)
                 ));
             }
-            // Compression may add at most one CodecOffer per directed
-            // link (lazy negotiation); beyond that it must not change
-            // how many messages flow, only their size.
-            let offer_budget = u64::from(teams) * (u64::from(teams) - 1);
-            let extra = v2.total_messages().wrapping_sub(v1.total_messages());
-            if extra > offer_budget {
-                return Err(format!(
-                    "[{link} {}] compression changed the message count: {} vs {} \
-                     (negotiation may add at most {offer_budget})",
-                    protocol.name(),
-                    v1.total_messages(),
-                    v2.total_messages()
-                ));
+            if let Some(violation) = message_identity_violation(&v1, &v2) {
+                return Err(format!("[{link} {}] {violation}", protocol.name()));
             }
             let cell = WireCell {
                 link: link.to_owned(),
@@ -515,6 +541,35 @@ mod tests {
         inflated.cells[2].v2_bytes_per_tick = 9_000.0; // EC grew 12.5%
         let violations = inflated.contract_violations();
         assert!(violations.iter().any(|v| v.contains("MORE bytes")), "{violations:?}");
+    }
+
+    /// A two-node run whose node 0 sent `data` + `control` messages,
+    /// `fused` of them `Data2` frames, and `offers` `CodecOffer`s.
+    fn run(data: u64, control: u64, fused: u64, offers: u64) -> RunSummary {
+        let mut node = sdso_game::NodeStats::default();
+        node.net.data_sent.msgs = data;
+        node.net.control_sent.msgs = control;
+        node.dso.codec_v2_sent = fused;
+        node.dso.codec_offers_sent = offers;
+        RunSummary {
+            protocol: Protocol::Bsync,
+            nodes: 2,
+            range: 1,
+            per_node: vec![node, sdso_game::NodeStats::default()],
+        }
+    }
+
+    #[test]
+    fn message_identity_is_exact() {
+        // v1: 10 Data + 10 Sync. v2: 8 of the pairs fused, 2 offers.
+        let v1 = run(10, 10, 0, 0);
+        assert_eq!(message_identity_violation(&v1, &run(10, 4, 8, 2)), None);
+        // The old gate's slack (count may only grow by the offers) is gone:
+        // one message too many or too few is a violation.
+        assert!(message_identity_violation(&v1, &run(10, 5, 8, 2)).is_some());
+        assert!(message_identity_violation(&v1, &run(10, 3, 8, 2)).is_some());
+        assert!(message_identity_violation(&v1, &run(11, 3, 8, 2)).is_some(), "data count moved");
+        assert!(message_identity_violation(&v1, &run(10, 5, 8, 3)).is_some(), "offers > n(n-1)");
     }
 
     #[test]

@@ -49,8 +49,12 @@ use crate::wire::WireUpdate;
 
 /// The original fixed-header wire format.
 pub const CODEC_V1: u8 = 1;
-/// Varint/run-length (+ optional XOR-delta) encoding — this module.
-pub const CODEC_V2: u8 = 2;
+/// Varint/run-length (+ optional XOR-delta) encoding — this module —
+/// carried in a fused `Data2` frame (the whole `(data, SYNC)` pair, under
+/// a varint header). The number a [`crate::wire::DsoMessage::CodecOffer`]
+/// carries for it is 3: number 2 named an earlier layout (fixed-width
+/// header, separate SYNC), and a peer that still offers 2 is sent v1.
+pub const CODEC_V2: u8 = 3;
 
 /// Per-update flags byte, bit 0: run bodies are XORed against the shadow.
 const FLAG_XOR: u8 = 0b0000_0001;

@@ -60,6 +60,9 @@ pub struct DsoMetrics {
     /// Update batches that fell back to the absolute v1 encoding after v2
     /// was negotiated (oversized run, or no seedable XOR shadow).
     pub codec_v2_fallbacks: u64,
+    /// [`crate::wire::DsoMessage::CodecOffer`]s sent (at most one per
+    /// link per codec generation, plus replies to repeat offers).
+    pub codec_offers_sent: u64,
     /// Updates coalesced away by batch-level dedup before framing
     /// (overlapping same-object diffs merged into one update).
     pub batch_deduped: u64,
@@ -99,6 +102,7 @@ impl DsoMetrics {
             shard_suppressed: self.shard_suppressed + other.shard_suppressed,
             codec_v2_sent: self.codec_v2_sent + other.codec_v2_sent,
             codec_v2_fallbacks: self.codec_v2_fallbacks + other.codec_v2_fallbacks,
+            codec_offers_sent: self.codec_offers_sent + other.codec_offers_sent,
             batch_deduped: self.batch_deduped + other.batch_deduped,
             snapshots_sent: self.snapshots_sent + other.snapshots_sent,
             snapshot_bytes: self.snapshot_bytes + other.snapshot_bytes,
@@ -140,6 +144,7 @@ pub(crate) struct DsoCounters {
     pub(crate) shard_suppressed: Counter,
     pub(crate) codec_v2_sent: Counter,
     pub(crate) codec_v2_fallbacks: Counter,
+    pub(crate) codec_offers_sent: Counter,
     pub(crate) batch_deduped: Counter,
     pub(crate) snapshots_sent: Counter,
     pub(crate) snapshot_bytes: Counter,
@@ -172,6 +177,7 @@ impl DsoCounters {
             shard_suppressed: registry.counter("dso.shard.suppressed"),
             codec_v2_sent: registry.counter("dso.codec.v2_sent"),
             codec_v2_fallbacks: registry.counter("dso.codec.v2_fallbacks"),
+            codec_offers_sent: registry.counter("dso.codec.offers_sent"),
             batch_deduped: registry.counter("dso.codec.batch_deduped"),
             snapshots_sent: registry.counter("dso.member.snapshots_sent"),
             snapshot_bytes: registry.counter("dso.member.snapshot_bytes"),
@@ -203,6 +209,7 @@ impl DsoCounters {
             shard_suppressed: self.shard_suppressed.get(),
             codec_v2_sent: self.codec_v2_sent.get(),
             codec_v2_fallbacks: self.codec_v2_fallbacks.get(),
+            codec_offers_sent: self.codec_offers_sent.get(),
             batch_deduped: self.batch_deduped.get(),
             snapshots_sent: self.snapshots_sent.get(),
             snapshot_bytes: self.snapshot_bytes.get(),

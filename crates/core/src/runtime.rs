@@ -90,8 +90,6 @@ struct ArqState {
     rx_next: Vec<u64>,
     /// Out-of-order arrivals waiting for their predecessors, per source.
     ooo: Vec<BTreeMap<u64, DsoMessage>>,
-    /// In-order messages delivered by the ARQ but not yet consumed.
-    ready: VecDeque<(NodeId, DsoMessage)>,
 }
 
 impl ArqState {
@@ -102,7 +100,6 @@ impl ArqState {
             unacked: (0..n).map(|_| BTreeMap::new()).collect(),
             rx_next: vec![0; n],
             ooo: (0..n).map(|_| BTreeMap::new()).collect(),
-            ready: VecDeque::new(),
         }
     }
 
@@ -116,7 +113,6 @@ impl ArqState {
         self.unacked[p].clear();
         self.rx_next[p] = 0;
         self.ooo[p].clear();
-        self.ready.retain(|(from, _)| *from != peer);
     }
 }
 
@@ -166,6 +162,12 @@ pub struct SdsoRuntime<E: Endpoint> {
     /// Rendezvous messages stamped in the logical future, buffered per
     /// (peer, time) until this process's clock reaches them.
     early: BTreeMap<(NodeId, LogicalTime), EarlyEntry>,
+    /// Logical messages delivered by the admission layer but not yet
+    /// consumed, in per-link FIFO order. One received frame can deliver
+    /// several: the out-of-order successors an ARQ frame unblocks, and the
+    /// SYNC half of a fused `Data2`. Every receive path pops from here
+    /// before it touches the transport.
+    ready: VecDeque<(NodeId, DsoMessage)>,
     /// App messages received while waiting for something else.
     app_inbox: VecDeque<(NodeId, MsgClass, Vec<u8>)>,
     /// `sync_put` acknowledgements received so far.
@@ -220,6 +222,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             current_mods: BTreeMap::new(),
             lamport: 0,
             early: BTreeMap::new(),
+            ready: VecDeque::new(),
             app_inbox: VecDeque::new(),
             acks_received: 0,
             arq: config.reliability.map(|cfg| ArqState::new(cfg, n)),
@@ -352,13 +355,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 reclaim_incoming(incoming.payload);
                 continue;
             }
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let (Some(m), Some(arq)) = (admitted, self.arq.as_mut()) {
-                // Deliverable already: park it where the blocking
-                // receives look first.
-                arq.ready.push_back(m);
-            }
+            // Deliverable already: admission parks it in `ready`, where
+            // the blocking receives look first.
+            self.admit(incoming)?;
         }
         Ok(dropped)
     }
@@ -462,6 +461,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             if let Some(arq) = &mut self.arq {
                 arq.forget_peer(leaver);
             }
+            self.ready.retain(|(from, _)| *from != leaver);
             self.reset_link_codec(leaver);
             self.early.retain(|&(peer, _), _| peer != leaver);
             self.endpoint.remove_peer(leaver);
@@ -900,7 +900,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
         // Ship (data, SYNC) pairs to every due peer: its slot content plus
         // this interval's modifications (both interest-filtered when a
-        // router is active).
+        // router is active). How many frames a pair takes is the codec
+        // layer's business (`encode_data`).
         let current: Vec<(ObjectId, (Diff, Version))> =
             std::mem::take(&mut self.current_mods).into_iter().collect();
         let mut updates_sent = 0usize;
@@ -936,12 +937,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
             let epoch = self.view.epoch();
             let mut msgs = Vec::with_capacity(3);
             if self.codec_offer_due(peer) {
-                msgs.push(DsoMessage::CodecOffer { version: CODEC_V2 });
+                msgs.push(self.codec_offer());
             }
-            if !updates.is_empty() {
-                msgs.push(self.encode_data(peer, epoch, t, updates));
-            }
-            msgs.push(DsoMessage::Sync { epoch, time: t });
+            msgs.extend(self.encode_data(peer, epoch, t, updates));
             self.send_msgs(peer, msgs)?;
         }
         if suppressed > 0 {
@@ -1212,18 +1210,30 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
     }
 
-    /// Builds the data message for one exchange send: the compressed v2
-    /// `Data2` when the peer has negotiated it — falling back to the
-    /// absolute v1 `Data` when a run exceeds the decoder's inflation
-    /// budget or an XOR shadow cannot be seeded — and plain v1 `Data`
-    /// before negotiation completes.
+    /// This process's codec offer, counted as it goes out.
+    fn codec_offer(&mut self) -> DsoMessage {
+        self.counters.codec_offers_sent.inc();
+        DsoMessage::CodecOffer { version: CODEC_V2 }
+    }
+
+    /// Builds the frames of one exchange's `(data, SYNC)` pair toward
+    /// `peer`: a single compressed `Data2` — which stands for the whole
+    /// pair — when the peer has negotiated v2; the paper's two messages,
+    /// absolute v1 `Data` then `Sync`, before negotiation completes or
+    /// when v2 encoding falls back (a run exceeds the decoder's inflation
+    /// budget, or an XOR shadow cannot be seeded); and a bare `Sync` when
+    /// there are no updates to ship.
     fn encode_data(
         &mut self,
         peer: NodeId,
         epoch: Epoch,
         time: LogicalTime,
         updates: Vec<WireUpdate>,
-    ) -> DsoMessage {
+    ) -> Vec<DsoMessage> {
+        let sync = DsoMessage::Sync { epoch, time };
+        if updates.is_empty() {
+            return vec![sync];
+        }
         if let Some(links) = &mut self.codec {
             let link = &mut links[usize::from(peer)];
             if link.peer_version.is_some_and(|v| v >= CODEC_V2) {
@@ -1236,36 +1246,34 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     &mut seed,
                 ) {
                     self.counters.codec_v2_sent.inc();
-                    return DsoMessage::Data2 { epoch, time, basis, blob };
+                    return vec![DsoMessage::Data2 { epoch, time, basis, blob }];
                 }
                 self.counters.codec_v2_fallbacks.inc();
             }
         }
-        DsoMessage::Data { epoch, time, updates }
+        vec![DsoMessage::Data { epoch, time, updates }, sync]
     }
 
-    /// Resolves codec-layer messages at their exactly-once delivery point:
-    /// consumes a [`DsoMessage::CodecOffer`] (recording the peer's version
-    /// and replying with ours if it has not gone out yet), decodes a
-    /// [`DsoMessage::Data2`] back into the plain `Data` it compresses
-    /// (advancing this link's receive shadows), and passes everything else
-    /// through untouched.
-    fn deliver(
-        &mut self,
-        from: NodeId,
-        msg: DsoMessage,
-    ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
+    /// Resolves codec-layer messages at their exactly-once delivery point
+    /// and queues the result on `ready`: consumes a
+    /// [`DsoMessage::CodecOffer`] (recording the peer's version and
+    /// replying with ours if it has not gone out yet), expands a
+    /// [`DsoMessage::Data2`] into the plain `Data` it compresses
+    /// (advancing this link's receive shadows) followed by the `Sync` it
+    /// stands in for, and passes everything else through untouched. The
+    /// exchange engine above therefore sees the same `(data, SYNC)` pair
+    /// on every link, fused or not.
+    fn deliver(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         match msg {
-            DsoMessage::CodecOffer { version } => {
-                self.handle_codec_offer(from, version)?;
-                Ok(None)
-            }
+            DsoMessage::CodecOffer { version } => self.handle_codec_offer(from, version)?,
             DsoMessage::Data2 { epoch, time, basis, blob } => {
                 let updates = self.decode_data2(from, basis, &blob)?;
-                Ok(Some((from, DsoMessage::Data { epoch, time, updates })))
+                self.ready.push_back((from, DsoMessage::Data { epoch, time, updates }));
+                self.ready.push_back((from, DsoMessage::Sync { epoch, time }));
             }
-            other => Ok(Some((from, other))),
+            other => self.ready.push_back((from, other)),
         }
+        Ok(())
     }
 
     /// Records a peer's codec offer. A *repeat* offer on an already
@@ -1290,7 +1298,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
             return Ok(());
         }
         link.offered = true;
-        self.send_msg(from, DsoMessage::CodecOffer { version: CODEC_V2 })
+        let offer = self.codec_offer();
+        self.send_msg(from, offer)
     }
 
     /// Decodes a `Data2` blob against this link's receive shadows.
@@ -1347,15 +1356,19 @@ impl<E: Endpoint> SdsoRuntime<E> {
     // The reliability layer (sequencing, acks, retransmit-on-timeout)
     // ------------------------------------------------------------------
 
+    /// Admits one received transport message (see
+    /// [`SdsoRuntime::admit_raw`]) and hands its storage back to the pool.
+    fn admit(&mut self, incoming: sdso_net::Incoming) -> Result<(), DsoError> {
+        let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes);
+        reclaim_incoming(incoming.payload);
+        admitted
+    }
+
     /// Decodes one raw transport message and runs it through the
-    /// reliability layer, returning the next in-order logical message if
-    /// this delivery produced one. Without a reliability config, every
-    /// message passes straight through.
-    fn admit_raw(
-        &mut self,
-        from: NodeId,
-        bytes: &[u8],
-    ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
+    /// reliability and codec layers, queueing every logical message this
+    /// delivery produced on `ready`, in order. Without a reliability
+    /// config, every message passes straight to the codec layer.
+    fn admit_raw(&mut self, from: NodeId, bytes: &[u8]) -> Result<(), DsoError> {
         let msg: DsoMessage = sdso_net::wire::decode(bytes).map_err(DsoError::Net)?;
         // Residue from a departed member (sequenced traffic stamped with a
         // past epoch): pretend-ack it so the leaver's settle converges
@@ -1366,7 +1379,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 if inner.epoch().is_some_and(|e| e < self.view.epoch()) {
                     self.counters.cross_epoch_dropped.inc();
                     self.send_msg(from, DsoMessage::SeqAck { next: seq + 1 })?;
-                    return Ok(None);
+                    return Ok(());
                 }
             }
         }
@@ -1402,25 +1415,16 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     Err(DsoError::Net(NetError::Disconnected)) => {}
                     other => other?,
                 }
-                // First resolved message is returned directly (callers
-                // consume it before anything queued after it); the rest
-                // queue behind whatever `ready` already holds, preserving
-                // per-link FIFO.
-                let mut delivered = None;
+                // Everything resolved queues behind whatever `ready`
+                // already holds, preserving per-link FIFO.
                 for m in chain {
-                    if let Some(d) = self.deliver(from, m)? {
-                        if delivered.is_none() {
-                            delivered = Some(d);
-                        } else if let Some(arq) = &mut self.arq {
-                            arq.ready.push_back(d);
-                        }
-                    }
+                    self.deliver(from, m)?;
                 }
-                Ok(delivered)
+                Ok(())
             }
             DsoMessage::SeqAck { next } => {
                 arq.unacked[p].retain(|&s, _| s >= next);
-                Ok(None)
+                Ok(())
             }
             // A plain message from a peer running without the layer (or a
             // legacy ack) is delivered as-is, codec resolution included.
@@ -1433,32 +1437,20 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// timeout resends everything unacknowledged (the `resync` path) until
     /// traffic flows again or the retry budget runs out.
     fn next_msg_blocking(&mut self) -> Result<(NodeId, DsoMessage), DsoError> {
-        let Some(arq) = &mut self.arq else {
+        let Some(cfg) = self.arq.as_ref().map(|a| a.cfg) else {
             // No reliability layer: still admit through the codec layer so
             // offers are consumed and compressed batches resolve.
-            loop {
-                let incoming = self.endpoint.recv().map_err(DsoError::Net)?;
-                let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                reclaim_incoming(incoming.payload);
-                if let Some(m) = admitted {
-                    return Ok(m);
-                }
-            }
+            return self.next_msg_wait();
         };
-        if let Some(m) = arq.ready.pop_front() {
-            return Ok(m);
-        }
-        let cfg = arq.cfg;
         let mut silent = 0u32;
         loop {
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(m);
+            }
             match self.endpoint.recv_deadline(cfg.rto).map_err(DsoError::Net)? {
                 Some(incoming) => {
                     silent = 0;
-                    let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                    reclaim_incoming(incoming.payload);
-                    if let Some(m) = admitted {
-                        return Ok(m);
-                    }
+                    self.admit(incoming)?;
                 }
                 None => {
                     if silent >= cfg.max_retries {
@@ -1490,13 +1482,11 @@ impl<E: Endpoint> SdsoRuntime<E> {
         &mut self,
         deadline: sdso_net::SimInstant,
     ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
-                return Ok(Some(m));
-            }
-        }
         let rto = self.arq.as_ref().map(|a| a.cfg.rto);
         loop {
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(Some(m));
+            }
             let remaining = deadline.saturating_since(self.endpoint.now());
             if remaining == SimSpan::ZERO {
                 return Ok(None);
@@ -1506,13 +1496,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 _ => remaining,
             };
             match self.endpoint.recv_deadline(slice).map_err(DsoError::Net)? {
-                Some(incoming) => {
-                    let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                    reclaim_incoming(incoming.payload);
-                    if let Some(m) = admitted {
-                        return Ok(Some(m));
-                    }
-                }
+                Some(incoming) => self.admit(incoming)?,
                 None => {
                     // A silent RTO slice: resync unacked traffic exactly
                     // like the unbounded path, but charge the caller's
@@ -1541,36 +1525,26 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// transport and surfaces through the scheduler's stall detection
     /// instead of a spurious retry-budget error.
     fn next_msg_wait(&mut self) -> Result<(NodeId, DsoMessage), DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
-                return Ok(m);
-            }
-        }
         loop {
-            let incoming = self.endpoint.recv().map_err(DsoError::Net)?;
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let Some(m) = admitted {
+            if let Some(m) = self.ready.pop_front() {
                 return Ok(m);
             }
+            let incoming = self.endpoint.recv().map_err(DsoError::Net)?;
+            self.admit(incoming)?;
         }
     }
 
     /// Non-blocking receive of the next logical message.
     fn next_msg_try(&mut self) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
+        loop {
+            if let Some(m) = self.ready.pop_front() {
                 return Ok(Some(m));
             }
-        }
-        while let Some(incoming) = self.endpoint.try_recv().map_err(DsoError::Net)? {
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let Some(m) = admitted {
-                return Ok(Some(m));
+            match self.endpoint.try_recv().map_err(DsoError::Net)? {
+                Some(incoming) => self.admit(incoming)?,
+                None => return Ok(None),
             }
         }
-        Ok(None)
     }
 
     /// Resends every unacknowledged message on every link, oldest first.
@@ -1639,16 +1613,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 return Ok(());
             }
             match self.endpoint.recv_deadline(cfg.rto).map_err(DsoError::Net)? {
-                Some(incoming) => {
-                    let queued = self.arq.as_ref().map_or(0, |a| a.ready.len());
-                    if let Some(m) = self.admit_raw(incoming.from, &incoming.payload.bytes)? {
-                        if let Some(arq) = &mut self.arq {
-                            // Per-link FIFO: the head goes in front of the
-                            // successors `admit_raw` queued behind it.
-                            arq.ready.insert(queued, m);
-                        }
-                    }
-                }
+                Some(incoming) => self.admit(incoming)?,
                 None => {
                     silent += 1;
                     self.counters.resyncs.inc();
@@ -1716,15 +1681,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
             match self.endpoint.recv_deadline(cfg.rto) {
                 Ok(Some(incoming)) => {
                     silent = 0;
-                    let (from, bytes) = (incoming.from, incoming.payload.bytes);
-                    let admitted = self.admit_raw(from, &bytes)?;
-                    sdso_net::pool::global().reclaim(bytes);
-                    if let Some((from, msg)) = admitted {
-                        self.absorb_settled(from, msg)?;
-                    }
-                    while let Some((from, msg)) =
-                        self.arq.as_mut().and_then(|a| a.ready.pop_front())
-                    {
+                    self.admit(incoming)?;
+                    while let Some((from, msg)) = self.ready.pop_front() {
                         self.absorb_settled(from, msg)?;
                     }
                 }
@@ -2206,6 +2164,75 @@ mod tests {
             assert_eq!(rt.read(ObjectId(1)).unwrap(), &[1, 1, 1, 1, 1, 0, 0, 0]);
             assert_eq!(rt.read(ObjectId(2)).unwrap(), &[2, 2, 2, 2, 2, 0, 0, 0]);
         }
+    }
+
+    #[test]
+    fn negotiated_v2_exchange_sends_one_frame_per_due_peer() {
+        use crate::config::WireConfig;
+        // Messages each node puts on the wire per exchange: (first, later).
+        // Compressed: the offer plus the paper's Data + Sync while the
+        // offers cross, then one fused Data2. v1: Data + Sync throughout.
+        for (wire, first, later) in [(WireConfig::compressed(), 3, 1), (WireConfig::v1(), 2, 2)] {
+            let runtimes = pair_with(DsoConfig::compact().with_wire(wire));
+            let done = run_pair(runtimes, move |rt| {
+                let me = rt.node_id();
+                let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
+                let mut sent = 0;
+                for round in 0..4u8 {
+                    rt.write(obj, u32::from(round), &[me as u8 + 1]).unwrap();
+                    rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                    let total = rt.net_metrics().total_sent();
+                    let expected = if round == 0 { first } else { later };
+                    assert_eq!(total - sent, expected, "node {me} round {round}");
+                    sent = total;
+                }
+            });
+            for rt in &done {
+                assert_eq!(rt.read(ObjectId(1)).unwrap(), &[1, 1, 1, 1, 0, 0, 0, 0]);
+                assert_eq!(rt.read(ObjectId(2)).unwrap(), &[2, 2, 2, 2, 0, 0, 0, 0]);
+            }
+        }
+    }
+
+    #[test]
+    fn encode_data_fuses_the_pair_only_on_negotiated_links() {
+        use crate::config::WireConfig;
+        let kinds = |msgs: Vec<DsoMessage>| -> Vec<&'static str> {
+            msgs.iter()
+                .map(|m| match m {
+                    DsoMessage::Data { .. } => "Data",
+                    DsoMessage::Sync { .. } => "Sync",
+                    DsoMessage::Data2 { .. } => "Data2",
+                    _ => "other",
+                })
+                .collect()
+        };
+        let t = LogicalTime::from_ticks(1);
+        let batch = |object| {
+            vec![WireUpdate { object, diff: Diff::single(0, vec![7]), version: Version::new(t, 0) }]
+        };
+        let mut v1 = pair().remove(0);
+        assert_eq!(kinds(v1.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)))), ["Data", "Sync"]);
+
+        let mut rt = pair_with(DsoConfig::compact().with_wire(WireConfig::compressed())).remove(0);
+        let peer_offers = |rt: &mut SdsoRuntime<MemoryEndpoint>, version| {
+            rt.codec.as_mut().unwrap()[1].peer_version = version;
+        };
+        let before_negotiation = rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)));
+        assert_eq!(kinds(before_negotiation), ["Data", "Sync"]);
+        // A peer offering the version number of the unfused layout is
+        // sent v1, never a frame it would misread.
+        peer_offers(&mut rt, Some(2));
+        assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)))), ["Data", "Sync"]);
+        peer_offers(&mut rt, Some(CODEC_V2));
+        assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)))), ["Data2"]);
+        // Fallback: an unshared object has no initial body to seed its
+        // XOR shadow, so the batch goes out as the paper's two messages.
+        assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(99)))), ["Data", "Sync"]);
+        assert_eq!(rt.metrics().codec_v2_fallbacks, 1);
+        // Nothing to ship: a bare SYNC, whatever the link negotiated.
+        assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, Vec::new())), ["Sync"]);
+        assert_eq!(rt.metrics().codec_v2_sent, 1);
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub enum DsoMessage {
     },
     /// The control half of a rendezvous pair. Sent alone when the sender
     /// has no updates to report (e.g. it lost a contention arbitration and
-    /// held still this interval).
+    /// held still this interval). Never sent behind a
+    /// [`DsoMessage::Data2`], which carries its own SYNC.
     Sync {
         /// Membership epoch the sender computed this exchange under.
         epoch: Epoch,
@@ -144,13 +145,14 @@ pub enum DsoMessage {
         /// Highest codec version the sender can decode.
         version: u8,
     },
-    /// The v2 data half of a rendezvous pair: semantically identical to
-    /// [`DsoMessage::Data`], but with the update list encoded by the
-    /// varint/run-length (and optionally XOR-delta) codec into an opaque
-    /// blob. The blob is resolved back into a plain `Data` at the
-    /// exactly-once delivery point in the runtime (where the per-link XOR
-    /// shadows live), keeping this decode pure so stored ARQ retransmit
-    /// clones re-encode safely.
+    /// A whole v2 rendezvous pair in one frame: semantically a
+    /// [`DsoMessage::Data`] followed by its [`DsoMessage::Sync`], with the
+    /// update list encoded by the varint/run-length (and optionally
+    /// XOR-delta) codec into an opaque blob. The header fields are LEB128
+    /// varints. The frame is expanded back into the plain `Data` + `Sync`
+    /// at the exactly-once delivery point in the runtime (where the
+    /// per-link XOR shadows live), keeping this decode pure so stored ARQ
+    /// retransmit clones re-encode safely.
     Data2 {
         /// Membership epoch the sender computed this exchange under.
         epoch: Epoch,
@@ -305,10 +307,11 @@ impl Wire for DsoMessage {
             }
             DsoMessage::Data2 { epoch, time, basis, blob } => {
                 w.put_u8(TAG_DATA2);
-                w.put_u32(epoch.0);
-                w.put_u64(time.as_ticks());
-                w.put_u64(*basis);
-                w.put_bytes(blob);
+                w.put_varint(u64::from(epoch.0));
+                w.put_varint(time.as_ticks());
+                w.put_varint(*basis);
+                w.put_varint(blob.len() as u64);
+                w.put_raw(blob);
             }
         }
     }
@@ -368,11 +371,14 @@ impl Wire for DsoMessage {
             }
             TAG_CODEC_OFFER => Ok(DsoMessage::CodecOffer { version: r.get_u8()? }),
             TAG_DATA2 => {
-                let epoch = Epoch(r.get_u32()?);
-                let time = LogicalTime::from_ticks(r.get_u64()?);
-                let basis = r.get_u64()?;
-                let blob = r.get_bytes()?.to_vec();
-                Ok(DsoMessage::Data2 { epoch, time, basis, blob })
+                let epoch = u32::try_from(r.get_varint()?)
+                    .map_err(|_| NetError::Codec("Data2 epoch exceeds u32".into()))?;
+                let time = LogicalTime::from_ticks(r.get_varint()?);
+                let basis = r.get_varint()?;
+                let len = usize::try_from(r.get_varint()?)
+                    .map_err(|_| NetError::Codec("Data2 blob length exceeds usize".into()))?;
+                let blob = r.get_raw(len)?.to_vec();
+                Ok(DsoMessage::Data2 { epoch: Epoch(epoch), time, basis, blob })
             }
             tag => Err(NetError::Codec(format!("unknown DsoMessage tag {tag:#x}"))),
         }
@@ -612,6 +618,30 @@ mod tests {
                 let _ = wire::decode::<DsoMessage>(&bad);
             }
         }
+    }
+
+    #[test]
+    fn data2_header_is_varints() {
+        let msg = DsoMessage::Data2 {
+            epoch: Epoch(1),
+            time: LogicalTime::from_ticks(6000),
+            basis: 5999,
+            blob: vec![0xAB; 30],
+        };
+        // Tag, epoch (1 byte), time and basis (2 bytes each), blob length
+        // (1 byte): 7 bytes of header ahead of the blob.
+        assert_eq!(wire::encode(&msg).len(), 7 + 30);
+    }
+
+    #[test]
+    fn data2_epoch_beyond_u32_rejected() {
+        let mut w = WireWriter::new();
+        w.put_u8(TAG_DATA2);
+        w.put_varint(u64::from(u32::MAX) + 1);
+        w.put_varint(1); // time
+        w.put_varint(0); // basis
+        w.put_varint(0); // empty blob
+        assert!(wire::decode::<DsoMessage>(&w.into_bytes()).is_err());
     }
 
     #[test]

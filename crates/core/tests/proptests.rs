@@ -229,6 +229,35 @@ proptest! {
     ) {
         let _ = sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&bytes);
     }
+
+    #[test]
+    fn every_truncation_of_a_data2_errors(
+        epoch in any::<u32>(),
+        time in any::<u64>(),
+        basis in any::<u64>(),
+        small in any::<bool>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        // Small header values (one- and two-byte varints) are the common
+        // case on the wire; full-range ones exercise the ten-byte limit.
+        let (time, basis) = if small { (time % 20_000, basis % 200) } else { (time, basis) };
+        let msg = sdso_core::wire::DsoMessage::Data2 {
+            epoch: sdso_core::Epoch(epoch),
+            time: LogicalTime::from_ticks(time),
+            basis,
+            blob,
+        };
+        let encoded = sdso_net::wire::encode(&msg);
+        prop_assert_eq!(
+            sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&encoded).unwrap(),
+            msg
+        );
+        for cut in 0..encoded.len() {
+            prop_assert!(
+                sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&encoded[..cut]).is_err()
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -286,11 +286,15 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads an LEB128 varint written by [`WireWriter::put_varint`].
+    /// Only the canonical (shortest) encoding is accepted, so every value
+    /// has exactly one byte form and an accepted input re-encodes to the
+    /// same bytes.
     ///
     /// # Errors
     /// Returns [`NetError::Codec`] if the input is exhausted, the
-    /// continuation chain runs past ten bytes, or the tenth byte carries
-    /// bits beyond `u64`'s width (a non-canonical overlong encoding).
+    /// continuation chain runs past ten bytes, the tenth byte carries
+    /// bits beyond `u64`'s width, or the encoding is overlong (a final
+    /// group of zero after the first byte, e.g. `80 00` for 0).
     pub fn get_varint(&mut self) -> Result<u64, NetError> {
         let mut value = 0u64;
         for group in 0..10u32 {
@@ -303,6 +307,9 @@ impl<'a> WireReader<'a> {
             }
             value |= bits << (7 * group);
             if byte & 0x80 == 0 {
+                if group > 0 && bits == 0 {
+                    return Err(NetError::Codec("overlong varint".into()));
+                }
                 return Ok(value);
             }
         }
@@ -509,6 +516,11 @@ mod tests {
         // Truncated mid-chain.
         let truncated = [0xFFu8, 0xFF];
         assert!(WireReader::new(&truncated).get_varint().is_err());
+        // Padded with a zero final group: `80 00` would decode to 0 and
+        // `FF 80 00` to 127, neither of which re-encodes to its input.
+        for padded in [&[0x80u8, 0x00][..], &[0xFF, 0x80, 0x00], &[0x81, 0x80, 0x80, 0x00]] {
+            assert!(WireReader::new(padded).get_varint().is_err(), "{padded:02x?}");
+        }
     }
 
     #[test]

@@ -138,6 +138,29 @@ proptest! {
     }
 
     #[test]
+    fn accepted_varints_reencode_byte_identically(
+        picks in proptest::collection::vec((any::<u8>(), 0u8..4), 0..12)
+    ) {
+        // Half the bytes are a bare continuation (0x80) or zero, so
+        // overlong forms like `80 00` come up often.
+        let bytes: Vec<u8> = picks
+            .iter()
+            .map(|&(b, pick)| match pick {
+                0 => 0x80,
+                1 => 0x00,
+                _ => b,
+            })
+            .collect();
+        let mut r = WireReader::new(&bytes);
+        if let Ok(v) = r.get_varint() {
+            let consumed = bytes.len() - r.remaining();
+            let mut w = WireWriter::new();
+            w.put_varint(v);
+            prop_assert_eq!(&w.into_bytes()[..], &bytes[..consumed]);
+        }
+    }
+
+    #[test]
     fn writer_reader_roundtrip_mixed_sequences(
         values in proptest::collection::vec((any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)), 0..16)
     ) {

@@ -4,7 +4,7 @@
 //! protocols still converge every replica to the identical final world,
 //! and the whole faulty run replays bit-identically from its seed.
 
-use sdso_core::RetryConfig;
+use sdso_core::{RetryConfig, WireConfig};
 use sdso_game::{run_node, NodeStats, Protocol, Scenario};
 use sdso_net::{FaultPlan, SimInstant, SimSpan};
 use sdso_sim::{NetworkModel, SimCluster};
@@ -82,6 +82,42 @@ fn chaos_runs_replay_bit_identically() {
                 x.net.drops_injected, y.net.drops_injected,
                 "{protocol}: deterministic fault stream"
             );
+            assert_eq!(x.final_world, y.final_world, "{protocol}: identical final replicas");
+        }
+    }
+}
+
+#[test]
+fn compressed_wire_converges_and_replays_under_chaos() {
+    // Fused `Data2` frames (each a whole data + SYNC pair) through the
+    // same drop/dup/reorder plan: they are retransmitted inside ARQ
+    // envelopes, deduplicated, reordered past the rendezvous and parked
+    // in the early buffer. Convergence and bit-identical replay must
+    // survive all of it.
+    let scenario = Scenario::paper(4, 1)
+        .with_ticks(60)
+        .with_reliability(retry())
+        .with_wire(WireConfig::compressed());
+    for protocol in Protocol::PAPER {
+        let a = play_chaos(&scenario, protocol, 0xBAD_CAB1E);
+        let b = play_chaos(&scenario, protocol, 0xBAD_CAB1E);
+        assert_eq!(a.len(), 4, "{protocol}: every node survives the faults");
+        let sum = |f: fn(&NodeStats) -> u64| a.iter().map(f).sum::<u64>();
+        assert!(sum(|s| s.net.drops_injected) > 0, "{protocol}: the plan must drop messages");
+        if protocol != Protocol::Entry {
+            assert!(sum(|s| s.dso.codec_v2_sent) > 0, "{protocol}: fused frames must flow");
+            assert!(sum(|s| s.dso.retransmits) > 0, "{protocol}: losses must be retransmitted");
+        }
+        let reference = &a[0].final_world;
+        assert!(!reference.is_empty());
+        for s in &a[1..] {
+            assert_eq!(&s.final_world, reference, "{protocol}: node {} diverged", s.node);
+        }
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((x.score, x.modifications), (y.score, y.modifications), "{protocol}");
+            assert_eq!(x.exec_time, y.exec_time, "{protocol}: deterministic timing");
+            assert_eq!(x.net.total_sent(), y.net.total_sent(), "{protocol}: deterministic traffic");
+            assert_eq!(x.dso.codec_v2_sent, y.dso.codec_v2_sent, "{protocol}");
             assert_eq!(x.final_world, y.final_world, "{protocol}: identical final replicas");
         }
     }
