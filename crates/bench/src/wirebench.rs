@@ -50,9 +50,10 @@ pub const WIRE_SCHEMA_VERSION: u64 = 1;
 /// ship at least 40% fewer bytes per tick.
 pub const WIRE_REDUCTION_FLOOR: f64 = 0.40;
 
-/// Codec negotiation costs one `CodecOffer` per link plus the per-frame
-/// version byte; a compressed run may exceed the absolute run's bytes by
-/// at most this relative allowance before the contract flags it.
+/// Codec negotiation costs one `CodecOffer` per directed link (a `Data2`
+/// frame carries no version byte: the negotiated offer number fixes its
+/// layout); a compressed run may exceed the absolute run's bytes by at
+/// most this relative allowance before the contract flags it.
 const WIRE_INFLATION_ALLOWANCE: f64 = 0.02;
 
 /// Teams (= processes) the committed baseline is recorded at.

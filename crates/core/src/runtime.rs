@@ -1221,8 +1221,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// pair — when the peer has negotiated v2; the paper's two messages,
     /// absolute v1 `Data` then `Sync`, before negotiation completes or
     /// when v2 encoding falls back (a run exceeds the decoder's inflation
-    /// budget, or an XOR shadow cannot be seeded); and a bare `Sync` when
-    /// there are no updates to ship.
+    /// budget, an XOR shadow cannot be seeded, or two consecutive update
+    /// times lie more than an `i64` apart); and a bare `Sync` when there
+    /// are no updates to ship.
     fn encode_data(
         &mut self,
         peer: NodeId,
@@ -1234,6 +1235,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         if updates.is_empty() {
             return vec![sync];
         }
+        let me = self.node_id();
         if let Some(links) = &mut self.codec {
             let link = &mut links[usize::from(peer)];
             if link.peer_version.is_some_and(|v| v >= CODEC_V2) {
@@ -1241,6 +1243,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
                 if let Some((basis, blob)) = codec::encode_updates(
                     &updates,
+                    me,
                     self.config.wire.xor_delta,
                     &mut link.tx,
                     &mut seed,
@@ -1324,7 +1327,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             link.rx.reset();
         }
         let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
-        codec::decode_updates(blob, basis, &mut link.rx, &mut seed).map_err(DsoError::Net)
+        codec::decode_updates(blob, basis, from, &mut link.rx, &mut seed).map_err(DsoError::Net)
     }
 
     /// Forgets everything negotiated with `peer`: its version offer, ours,
@@ -2220,10 +2223,14 @@ mod tests {
         };
         let before_negotiation = rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)));
         assert_eq!(kinds(before_negotiation), ["Data", "Sync"]);
-        // A peer offering the version number of the unfused layout is
-        // sent v1, never a frame it would misread.
-        peer_offers(&mut rt, Some(2));
-        assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)))), ["Data", "Sync"]);
+        // A peer offering the number of an earlier layout (2: unfused,
+        // 3: explicit writers and run lists) is sent v1, never a frame it
+        // would misread.
+        for old_layout in [2, 3] {
+            peer_offers(&mut rt, Some(old_layout));
+            let msgs = rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)));
+            assert_eq!(kinds(msgs), ["Data", "Sync"], "peer offering {old_layout}");
+        }
         peer_offers(&mut rt, Some(CODEC_V2));
         assert_eq!(kinds(rt.encode_data(1, Epoch::ZERO, t, batch(ObjectId(1)))), ["Data2"]);
         // Fallback: an unshared object has no initial body to seed its

@@ -157,6 +157,7 @@ pub(crate) fn build_churn_runtime<E: Endpoint>(
         frame_wire_len: scenario.frame_wire_len,
         merge_diffs: scenario.merge_diffs,
         reliability: scenario.reliability,
+        wire: scenario.wire,
         batch_frames: true,
         ..DsoConfig::paper()
     };

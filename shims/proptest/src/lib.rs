@@ -6,9 +6,10 @@
 //! `ProptestConfig::with_cases`.
 //!
 //! Vendored so the workspace builds fully offline. Differences from
-//! upstream: cases are generated from a fixed deterministic seed, and
-//! there is **no shrinking** — a failing case reports its generated
-//! inputs as-is.
+//! upstream: cases are generated from a fixed deterministic seed unless
+//! `PROPTEST_RNG_SEED` names another (a failing case prints the seed it
+//! ran under), and there is **no shrinking** — a failing case reports its
+//! generated inputs as-is.
 
 #![warn(missing_docs)]
 

@@ -70,17 +70,61 @@ impl TestRng {
     }
 }
 
+/// The seed runners start from when `PROPTEST_RNG_SEED` is unset: fixed,
+/// so a plain `cargo test` generates the same cases every time.
+pub const DEFAULT_SEED: u64 = 0x5D50_1997_C0FF_EE00;
+
+/// The seed runners start from: `PROPTEST_RNG_SEED` (decimal, or hex with
+/// a `0x` prefix) when set and non-empty, else [`DEFAULT_SEED`].
+///
+/// # Panics
+///
+/// Panics when the variable is set to something that is not a `u64`, so
+/// a typo cannot silently fall back to the default cases.
+pub fn configured_seed() -> u64 {
+    match std::env::var("PROPTEST_RNG_SEED") {
+        Ok(raw) if !raw.trim().is_empty() => parse_seed(raw.trim())
+            .unwrap_or_else(|| panic!("PROPTEST_RNG_SEED={raw:?} is not a u64")),
+        _ => DEFAULT_SEED,
+    }
+}
+
+fn parse_seed(raw: &str) -> Option<u64> {
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
+}
+
+/// Prints the run's seed if a test body panics (an `unwrap` inside a
+/// property, say), so the failing case can be regenerated.
+struct SeedOnPanic(u64);
+
+impl Drop for SeedOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("proptest case panicked; rerun with PROPTEST_RNG_SEED={:#x}", self.0);
+        }
+    }
+}
+
 /// Runs one strategy over many generated cases.
 #[derive(Debug)]
 pub struct TestRunner {
     config: ProptestConfig,
+    seed: u64,
     rng: TestRng,
 }
 
 impl TestRunner {
-    /// Creates a runner with a fixed deterministic seed.
+    /// Creates a runner starting from [`configured_seed`].
     pub fn new(config: ProptestConfig) -> Self {
-        TestRunner { config, rng: TestRng::new(0x5D50_1997_C0FF_EE00) }
+        TestRunner::with_seed(config, configured_seed())
+    }
+
+    /// Creates a runner starting from `seed`.
+    pub fn with_seed(config: ProptestConfig, seed: u64) -> Self {
+        TestRunner { config, seed, rng: TestRng::new(seed) }
     }
 
     /// Generates `config.cases` inputs and runs `test` on each. Returns
@@ -95,6 +139,7 @@ impl TestRunner {
         S::Value: std::fmt::Debug,
         F: FnMut(S::Value) -> Result<(), TestCaseError>,
     {
+        let _report = SeedOnPanic(self.seed);
         let mut accepted = 0u32;
         let mut rejected = 0u32;
         while accepted < self.config.cases {
@@ -110,8 +155,9 @@ impl TestRunner {
                 Err(TestCaseError::Reject(_)) => rejected += 1,
                 Err(TestCaseError::Fail(msg)) => {
                     return Err(format!(
-                        "proptest case failed after {accepted} passing case(s): \
-                         {msg}; input = {shown}"
+                        "proptest case failed after {accepted} passing case(s) \
+                         (rerun with PROPTEST_RNG_SEED={:#x}): {msg}; input = {shown}",
+                        self.seed
                     ));
                 }
             }
@@ -147,6 +193,35 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("too big"), "{err}");
         assert!(err.contains("input ="), "{err}");
+    }
+
+    #[test]
+    fn failure_reports_the_seed_and_the_seed_replays_it() {
+        let failing = |seed| {
+            TestRunner::with_seed(ProptestConfig::with_cases(64), seed)
+                .run(&(0u64..1000), |v| {
+                    if v % 7 == 3 {
+                        Err(TestCaseError::fail(format!("hit {v}")))
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err()
+        };
+        let err = failing(0xABC);
+        assert!(err.contains("PROPTEST_RNG_SEED=0xabc"), "{err}");
+        assert_eq!(err, failing(parse_seed("2748").unwrap()), "same seed, same case");
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("2748"), Some(0xABC));
+        assert_eq!(parse_seed("0xABC"), Some(0xABC));
+        assert_eq!(parse_seed("0Xabc"), Some(0xABC));
+        assert_eq!(parse_seed("20261017"), Some(20_261_017));
+        assert_eq!(parse_seed("x12"), None);
+        assert_eq!(parse_seed("-1"), None);
+        assert_eq!(parse_seed("18446744073709551616"), None);
     }
 
     #[test]

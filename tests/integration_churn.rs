@@ -9,7 +9,7 @@
 //!   bit-identically on the seeded virtual-time cluster;
 //! * a late joiner's snapshot is O(objects), not O(history).
 
-use sdso_core::{MembershipPlan, ViewChange};
+use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::{run_churn_node, Block, NodeStats, Protocol, Scenario};
 use sdso_harness::{
     chaos_plan, chaos_retry_config, churn_converged, default_churn_plan, run_churn_experiment,
@@ -96,6 +96,46 @@ fn churn_runs_replay_bit_identically() {
             assert_eq!(x.modifications, y.modifications, "{protocol}");
             assert_eq!(x.exec_time, y.exec_time, "{protocol}: deterministic timing");
             assert_eq!(x.net.total_sent(), y.net.total_sent(), "{protocol}: deterministic traffic");
+        }
+    }
+}
+
+#[test]
+fn compressed_wire_converges_and_replays_through_churn() {
+    // Codec v2 across four view changes: a leaver's link codec is reset,
+    // a joiner reusing the slot negotiates from scratch, and its first
+    // `Data2` (basis 0) resets the receiver's shadows.
+    let v1 = Scenario::paper(CAPACITY as u16, 1).with_ticks(TICKS);
+    let scenario = v1.clone().with_wire(WireConfig::compressed());
+    let alive = survivors();
+    for protocol in Protocol::PAPER {
+        let a = play(&scenario, protocol);
+        let b = play(&scenario, protocol);
+        let sent: u64 = a.iter().map(|s| s.dso.codec_v2_sent).sum();
+        if protocol == Protocol::Entry {
+            // EC moves object state in its own lock-pull replies, never in
+            // an exchange, so no link has anything to compress: the run
+            // must be the v1 run, bit for bit.
+            assert_eq!(sent, 0, "EC ships no exchange data");
+            for (x, y) in a.iter().zip(&play(&v1, protocol)) {
+                assert_eq!(x.final_world, y.final_world, "EC: same state as v1");
+                assert_eq!(x.exec_time, y.exec_time, "EC: same timing as v1");
+                assert_eq!(x.net.total_sent(), y.net.total_sent(), "EC: same traffic as v1");
+            }
+        } else {
+            assert!(sent > 0, "{protocol}: compressed frames must flow");
+        }
+        let reference = &a[alive[0]].final_world;
+        for &id in &alive {
+            assert_eq!(a[id].ticks, TICKS, "{protocol}: node {id} plays to the end");
+            assert_eq!(&a[id].final_world, reference, "{protocol}: node {id} diverged");
+        }
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.final_world, y.final_world, "{protocol}: deterministic final state");
+            assert_eq!((x.score, x.modifications), (y.score, y.modifications), "{protocol}");
+            assert_eq!(x.exec_time, y.exec_time, "{protocol}: deterministic timing");
+            assert_eq!(x.net.total_sent(), y.net.total_sent(), "{protocol}: deterministic traffic");
+            assert_eq!(x.dso.codec_v2_sent, y.dso.codec_v2_sent, "{protocol}");
         }
     }
 }

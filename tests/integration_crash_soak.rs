@@ -14,6 +14,7 @@
 //! included — is written there win or lose; the CI job uploads it as an
 //! artifact when the job fails.
 
+use sdso_core::WireConfig;
 use sdso_game::{run_crash_node_obs, Protocol, Scenario};
 use sdso_harness::{crash_converged, default_crash_plan, run_crash_experiment};
 use sdso_net::{FaultPlan, NetError};
@@ -122,6 +123,47 @@ fn crash_experiment_is_deterministic_across_replays() {
         assert_eq!(x.score, y.score, "node {}: deterministic score", x.node);
         assert_eq!(x.recovery_time, y.recovery_time, "node {}: deterministic downtime", x.node);
         assert_eq!(x.wal_replayed, y.wal_replayed, "node {}: deterministic replay", x.node);
+    }
+}
+
+#[test]
+fn compressed_wire_converges_and_replays_through_crashes() {
+    // Codec v2 through a crash/restart and a permanent crash: the
+    // restarted process re-negotiates with every peer, and its first
+    // `Data2` on each link (basis 0) resets that peer's receive shadows.
+    let v1 = Scenario::paper(8, 1).with_ticks(16);
+    let scenario = v1.clone().with_wire(WireConfig::compressed());
+    let faults = default_crash_plan(0xD15C, 8, 16);
+    let run = |scenario: &Scenario, protocol| {
+        run_crash_experiment(scenario, protocol, NetworkModel::paper_testbed(), &faults).unwrap()
+    };
+    for protocol in Protocol::PAPER {
+        let a = run(&scenario, protocol);
+        let b = run(&scenario, protocol);
+        assert!(crash_converged(&a, &scenario, &faults), "{protocol}: diverged after recovery");
+        let sent: u64 = a.per_node.iter().map(|s| s.dso.codec_v2_sent).sum();
+        if protocol == Protocol::Entry {
+            // EC moves object state in its own lock-pull replies, never in
+            // an exchange, so no link has anything to compress: the run
+            // must be the v1 run, bit for bit.
+            assert_eq!(sent, 0, "EC ships no exchange data");
+            for (x, y) in a.per_node.iter().zip(&run(&v1, protocol).per_node) {
+                assert_eq!(x.final_world, y.final_world, "EC: same state as v1");
+                assert_eq!(x.exec_time, y.exec_time, "EC: same timing as v1");
+                assert_eq!(x.net.total_sent(), y.net.total_sent(), "EC: same traffic as v1");
+            }
+        } else {
+            assert!(sent > 0, "{protocol}: compressed frames must flow");
+        }
+        assert_eq!(a.per_node[1].recoveries, 1, "{protocol}: node 1 restarts");
+        for (x, y) in a.per_node.iter().zip(&b.per_node) {
+            let node = x.node;
+            assert_eq!(x.final_world, y.final_world, "{protocol} node {node}: final state");
+            assert_eq!(x.score, y.score, "{protocol} node {node}: score");
+            assert_eq!(x.exec_time, y.exec_time, "{protocol} node {node}: timing");
+            assert_eq!(x.net.total_sent(), y.net.total_sent(), "{protocol} node {node}: traffic");
+            assert_eq!(x.dso.codec_v2_sent, y.dso.codec_v2_sent, "{protocol} node {node}");
+        }
     }
 }
 
