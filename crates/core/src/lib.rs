@@ -100,4 +100,4 @@ pub use sdso_member::{
 pub use sdso_obs::{text_histogram_dump, Obs, ObsSet};
 pub use sfunction::{EveryTick, Never, SFunction};
 pub use slotted_buffer::{PendingUpdate, SlottedBuffer};
-pub use store::{ObjectStore, Replica};
+pub use store::{ObjectStore, Replica, Revision};

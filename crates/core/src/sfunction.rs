@@ -24,6 +24,16 @@ use crate::store::ObjectStore;
 /// is application responsibility and is validated for the game s-functions
 /// by property tests.
 ///
+/// # Memoisation
+///
+/// The runtime reschedules every due peer against the same store, so an
+/// s-function that derives something costly from the store (a scan of the
+/// whole world, say) may compute it once and reuse it. The one valid memo
+/// key is [`ObjectStore::revision`]: equal revisions mean identical
+/// contents, across stores too. Neither `now` nor the peer is a valid key,
+/// since a store may change between two calls at one logical time, and
+/// one s-function may be handed different stores.
+///
 /// # Example
 ///
 /// A closure is an s-function; this one re-exchanges with every peer on

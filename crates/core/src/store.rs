@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::diff::Diff;
 use crate::dirty::DirtyRanges;
@@ -63,21 +63,78 @@ impl Replica {
     }
 }
 
+/// Store ids, drawn once per [`ObjectStore`] so no two stores in a process
+/// ever share a [`Revision`].
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One state of one store's contents (see [`ObjectStore::revision`]).
+///
+/// The pair is the store's process-unique id plus its count of content
+/// mutations, so two stores with identical histories still differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Revision {
+    /// The store's id from `NEXT_STORE_ID`.
+    store: u64,
+    /// Content mutations since the store was created.
+    mutations: u64,
+}
+
 /// A process's local table of object replicas.
 ///
 /// Objects are registered once with [`ObjectStore::share`] ("all objects are
 /// declared shared at the initialization phase of a program"; S-DSO has no
 /// `unshare`). Every process registers the same objects with the same
 /// initial contents, so replicas start identical.
-#[derive(Debug, Default)]
+///
+/// Replicas live in one `Vec` sorted by id: a lookup is a binary search,
+/// and sharing ids in ascending order (how every program here registers
+/// its objects) is a plain push.
+#[derive(Debug)]
 pub struct ObjectStore {
-    objects: BTreeMap<ObjectId, Replica>,
+    /// Sorted by id; ids are unique.
+    objects: Vec<(ObjectId, Replica)>,
+    revision: Revision,
+}
+
+impl Default for ObjectStore {
+    fn default() -> Self {
+        ObjectStore::new()
+    }
 }
 
 impl ObjectStore {
     /// An empty store.
     pub fn new() -> Self {
-        ObjectStore::default()
+        // Relaxed: the id only has to be unique; it publishes no other data.
+        let store = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
+        ObjectStore { objects: Vec::new(), revision: Revision { store, mutations: 0 } }
+    }
+
+    /// The current state of the store's contents. It changes on every
+    /// content mutation ([`share`](Self::share), [`write`](Self::write),
+    /// [`replace`](Self::replace), an applied
+    /// [`apply_remote`](Self::apply_remote)) and never repeats, in this
+    /// store or any other, so equal revisions mean identical contents and
+    /// anything derived from the contents may be memoised on it. Dirty
+    /// tracking is not content: [`clear_dirty`](Self::clear_dirty) leaves
+    /// the revision as it is.
+    pub fn revision(&self) -> Revision {
+        self.revision
+    }
+
+    /// `Ok(index)` of `id` in `objects`, or `Err(index)` it would be
+    /// inserted at.
+    fn position(&self, id: ObjectId) -> Result<usize, usize> {
+        self.objects.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
+    fn get(&self, id: ObjectId) -> Option<&Replica> {
+        self.position(id).ok().map(|i| &self.objects[i].1)
+    }
+
+    fn get_mut(&mut self, id: ObjectId) -> Result<&mut Replica, DsoError> {
+        let i = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
+        Ok(&mut self.objects[i].1)
     }
 
     /// Registers `id` with its initial contents.
@@ -86,18 +143,20 @@ impl ObjectStore {
     ///
     /// Returns [`DsoError::AlreadyShared`] if `id` was registered before.
     pub fn share(&mut self, id: ObjectId, initial: Vec<u8>) -> Result<(), DsoError> {
-        if self.objects.contains_key(&id) {
-            return Err(DsoError::AlreadyShared(id));
-        }
-        self.objects.insert(
-            id,
-            Replica {
-                data: initial.clone(),
-                initial,
-                version: Version::INITIAL,
-                dirty: DirtyRanges::new(),
-            },
-        );
+        let at = match self.objects.last() {
+            Some(&(last, _)) if last >= id => {
+                self.position(id).err().ok_or(DsoError::AlreadyShared(id))?
+            }
+            _ => self.objects.len(),
+        };
+        let replica = Replica {
+            data: initial.clone(),
+            initial,
+            version: Version::INITIAL,
+            dirty: DirtyRanges::new(),
+        };
+        self.objects.insert(at, (id, replica));
+        self.revision.mutations += 1;
         Ok(())
     }
 
@@ -107,7 +166,7 @@ impl ObjectStore {
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
     pub fn replica(&self, id: ObjectId) -> Result<&Replica, DsoError> {
-        self.objects.get(&id).ok_or(DsoError::UnknownObject(id))
+        self.get(id).ok_or(DsoError::UnknownObject(id))
     }
 
     /// Reads an object's bytes.
@@ -131,7 +190,7 @@ impl ObjectStore {
         bytes: &[u8],
         version: Version,
     ) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.get_mut(id)?;
         let end = offset as usize + bytes.len();
         if end > replica.data.len() {
             return Err(DsoError::OutOfBounds {
@@ -144,6 +203,7 @@ impl ObjectStore {
         replica.data[offset as usize..end].copy_from_slice(bytes);
         replica.version = replica.version.max(version);
         replica.dirty.record(offset, bytes.len() as u32);
+        self.revision.mutations += 1;
         Ok(())
     }
 
@@ -155,7 +215,7 @@ impl ObjectStore {
     /// Returns [`DsoError::UnknownObject`], or [`DsoError::OutOfBounds`] if
     /// the body size does not match the registered size.
     pub fn replace(&mut self, id: ObjectId, body: &[u8], version: Version) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.get_mut(id)?;
         if body.len() != replica.data.len() {
             return Err(DsoError::OutOfBounds {
                 object: id,
@@ -167,6 +227,7 @@ impl ObjectStore {
         replica.data.copy_from_slice(body);
         replica.version = version;
         replica.dirty.record(0, body.len() as u32);
+        self.revision.mutations += 1;
         Ok(())
     }
 
@@ -208,7 +269,7 @@ impl ObjectStore {
         diff: &Diff,
         version: Version,
     ) -> Result<bool, DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.get_mut(id)?;
         if version <= replica.version {
             return Ok(false);
         }
@@ -217,6 +278,7 @@ impl ObjectStore {
         for (offset, bytes) in diff.runs() {
             replica.dirty.record(offset, bytes.len() as u32);
         }
+        self.revision.mutations += 1;
         Ok(true)
     }
 
@@ -228,8 +290,7 @@ impl ObjectStore {
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
     pub fn clear_dirty(&mut self, id: ObjectId) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
-        replica.dirty.clear();
+        self.get_mut(id)?.dirty.clear();
         Ok(())
     }
 
@@ -245,13 +306,13 @@ impl ObjectStore {
 
     /// Iterates over `(id, replica)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Replica)> {
-        self.objects.iter().map(|(&id, r)| (id, r))
+        self.objects.iter().map(|(id, r)| (*id, r))
     }
 
     /// The bytes `id` was registered with, or `None` if it was never
     /// shared. See [`Replica::initial_body`].
     pub fn initial_body(&self, id: ObjectId) -> Option<&[u8]> {
-        self.objects.get(&id).map(|r| r.initial_body())
+        self.get(id).map(Replica::initial_body)
     }
 }
 

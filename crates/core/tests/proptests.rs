@@ -1,5 +1,7 @@
 //! Property tests of the core data structures' invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use sdso_core::{Diff, DirtyRanges, ExchangeList, LogicalTime, ObjectId, SlottedBuffer, Version};
 
@@ -303,6 +305,223 @@ proptest! {
             let touched: std::collections::BTreeSet<u32> =
                 drained.iter().map(|u| u.object.0).collect();
             prop_assert_eq!(drained.len(), touched.len());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// ObjectStore: agrees with a BTreeMap reference model; revisions
+// ---------------------------------------------------------------------
+
+/// The reference model of one replica.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelReplica {
+    data: Vec<u8>,
+    initial: Vec<u8>,
+    version: Version,
+    /// Spans recorded since the last `clear_dirty`.
+    dirty: Vec<(u32, u32)>,
+    untracked: bool,
+    /// The contents at the last `clear_dirty` (or `share`).
+    baseline: Vec<u8>,
+}
+
+impl ModelReplica {
+    fn record(&mut self, offset: u32, len: u32) {
+        let mut ranges = DirtyRanges::new();
+        if self.untracked {
+            ranges.mark_untracked();
+        }
+        for &(o, l) in &self.dirty {
+            ranges.record(o, l);
+        }
+        ranges.record(offset, len);
+        self.dirty = ranges.spans().collect();
+        self.untracked = ranges.is_untracked();
+    }
+}
+
+/// What an operation returned, with error variants kept apart.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Done(bool),
+    AlreadyShared(ObjectId),
+    UnknownObject(ObjectId),
+    OutOfBounds { object: ObjectId, offset: u32, len: usize, size: usize },
+    Codec,
+}
+
+/// Maps a store result to its [`Outcome`]; a unit success is `Done(true)`.
+fn outcome(result: Result<bool, sdso_core::DsoError>) -> Outcome {
+    use sdso_core::DsoError;
+    match result {
+        Ok(applied) => Outcome::Done(applied),
+        Err(DsoError::AlreadyShared(id)) => Outcome::AlreadyShared(id),
+        Err(DsoError::UnknownObject(id)) => Outcome::UnknownObject(id),
+        Err(DsoError::OutOfBounds { object, offset, len, size }) => {
+            Outcome::OutOfBounds { object, offset, len, size }
+        }
+        Err(DsoError::Net(_)) => Outcome::Codec,
+        Err(other) => panic!("unexpected store error {other:?}"),
+    }
+}
+
+/// One store operation: `(kind, id, (offset, len), byte, (tick, writer))`.
+type StoreOp = (u8, u32, (u32, usize), u8, (u64, u16));
+
+/// Applies `op` to the model, returning the expected outcome and whether
+/// it changed content.
+fn model_apply(model: &mut BTreeMap<ObjectId, ModelReplica>, op: StoreOp) -> (Outcome, bool) {
+    let (kind, raw_id, (offset, len), byte, (tick, writer)) = op;
+    let version = Version::new(LogicalTime::from_ticks(tick), writer);
+    // Kind 0 shares the next id above every shared one (an in-order push).
+    let id = match kind {
+        0 => ObjectId(model.keys().next_back().map_or(0, |id| id.0 + 1)),
+        _ => ObjectId(raw_id),
+    };
+    if kind <= 1 {
+        if model.contains_key(&id) {
+            return (Outcome::AlreadyShared(id), false);
+        }
+        let initial = vec![byte; offset as usize % 8 + 1];
+        let replica = ModelReplica {
+            data: initial.clone(),
+            initial: initial.clone(),
+            version: Version::INITIAL,
+            dirty: Vec::new(),
+            untracked: false,
+            baseline: initial,
+        };
+        model.insert(id, replica);
+        return (Outcome::Done(true), true);
+    }
+    let Some(r) = model.get_mut(&id) else {
+        return (Outcome::UnknownObject(id), false);
+    };
+    let size = r.data.len();
+    let bytes = vec![byte; len];
+    match kind {
+        2 => {
+            let end = offset as usize + len;
+            if end > size {
+                return (Outcome::OutOfBounds { object: id, offset, len, size }, false);
+            }
+            r.data[offset as usize..end].copy_from_slice(&bytes);
+            r.version = r.version.max(version);
+            r.record(offset, len as u32);
+            (Outcome::Done(true), true)
+        }
+        3 | 4 => {
+            // `replace` (3) and `replace_if_newer` (4) with a body of the
+            // registered size, or of `len` bytes when `offset` is odd.
+            let body = if offset % 2 == 1 { bytes } else { vec![byte; size] };
+            if kind == 4 && version <= r.version {
+                return (Outcome::Done(false), false);
+            }
+            if body.len() != size {
+                let len = body.len();
+                return (Outcome::OutOfBounds { object: id, offset: 0, len, size }, false);
+            }
+            r.data.copy_from_slice(&body);
+            r.version = version;
+            r.record(0, size as u32);
+            (Outcome::Done(true), true)
+        }
+        5 | 6 => {
+            if version <= r.version {
+                return (Outcome::Done(false), false);
+            }
+            // An empty diff has no run to fall outside the object.
+            if len > 0 {
+                if offset as usize + len > size {
+                    return (Outcome::Codec, false);
+                }
+                r.data[offset as usize..offset as usize + len].copy_from_slice(&bytes);
+            }
+            r.version = version;
+            r.record(offset, len as u32);
+            (Outcome::Done(true), true)
+        }
+        _ => {
+            r.dirty.clear();
+            r.untracked = false;
+            r.baseline = r.data.clone();
+            (Outcome::Done(true), false)
+        }
+    }
+}
+
+fn store_apply(store: &mut sdso_core::ObjectStore, model_id: ObjectId, op: StoreOp) -> Outcome {
+    let (kind, _, (offset, len), byte, (tick, writer)) = op;
+    let version = Version::new(LogicalTime::from_ticks(tick), writer);
+    let bytes = vec![byte; len];
+    match kind {
+        0 | 1 => outcome(store.share(model_id, vec![byte; offset as usize % 8 + 1]).map(|()| true)),
+        2 => outcome(store.write(model_id, offset, &bytes, version).map(|()| true)),
+        3 | 4 => {
+            let size = store.replica(model_id).map_or(0, |r| r.size());
+            let body = if offset % 2 == 1 { bytes } else { vec![byte; size] };
+            if kind == 3 {
+                outcome(store.replace(model_id, &body, version).map(|()| true))
+            } else {
+                outcome(store.replace_if_newer(model_id, &body, version))
+            }
+        }
+        5 | 6 => outcome(store.apply_remote(model_id, &Diff::single(offset, bytes), version)),
+        _ => outcome(store.clear_dirty(model_id).map(|()| true)),
+    }
+}
+
+proptest! {
+    #[test]
+    fn object_store_matches_a_btreemap_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u32..12, (0u32..10, 0usize..6), any::<u8>(), (0u64..8, 0u16..3)),
+            0..96,
+        )
+    ) {
+        let mut model: BTreeMap<ObjectId, ModelReplica> = BTreeMap::new();
+        // Two stores fed the identical history.
+        let mut a = sdso_core::ObjectStore::new();
+        let mut b = sdso_core::ObjectStore::new();
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(a.revision());
+        seen.insert(b.revision());
+        for op in ops {
+            let id = match op.0 {
+                0 => ObjectId(model.keys().next_back().map_or(0, |id| id.0 + 1)),
+                _ => ObjectId(op.1),
+            };
+            let before = a.revision();
+            let (expected, mutated) = model_apply(&mut model, op);
+            prop_assert_eq!(store_apply(&mut a, id, op), expected, "op {:?}", op);
+            store_apply(&mut b, id, op);
+            if mutated {
+                prop_assert!(seen.insert(a.revision()), "revision reused after {:?}", op);
+                prop_assert!(seen.insert(b.revision()), "revision reused after {:?}", op);
+            } else {
+                prop_assert_eq!(a.revision(), before, "no content change: {:?}", op);
+            }
+            prop_assert_ne!(a.revision(), b.revision());
+        }
+        prop_assert_eq!(a.len(), model.len());
+        prop_assert_eq!(a.is_empty(), model.is_empty());
+        let ids: Vec<ObjectId> = a.iter().map(|(id, _)| id).collect();
+        prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>(), "iter() in id order");
+        for ((id, r), (&mid, m)) in a.iter().zip(&model) {
+            prop_assert_eq!(id, mid);
+            prop_assert_eq!(r.data(), &m.data[..]);
+            prop_assert_eq!(a.read(id).unwrap(), &m.data[..]);
+            prop_assert_eq!(a.initial_body(id), Some(&m.initial[..]));
+            prop_assert_eq!(r.version(), m.version);
+            let spans: Vec<(u32, u32)> = r.dirty_ranges().spans().collect();
+            prop_assert_eq!(spans, m.dirty.clone());
+            prop_assert_eq!(r.dirty_ranges().is_untracked(), m.untracked);
+            prop_assert_eq!(r.diff_since(&m.baseline), Diff::between(&m.baseline, &m.data));
+        }
+        for missing in (0..14).map(ObjectId).filter(|id| !model.contains_key(id)) {
+            prop_assert!(a.initial_body(missing).is_none());
+            prop_assert!(a.read(missing).is_err());
         }
     }
 }

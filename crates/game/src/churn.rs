@@ -44,16 +44,14 @@
 use std::collections::BTreeSet;
 
 use sdso_core::{
-    DsoConfig, DsoError, EveryTick, MembershipPlan, Never, ObjectId, Obs, SFunction, SdsoRuntime,
-    SendMode,
+    DsoError, EveryTick, MembershipPlan, Never, Obs, SFunction, SdsoRuntime, SendMode,
 };
 use sdso_net::{Endpoint, NodeId, SimSpan};
 use sdso_protocols::{EntryConsistency, LockRequest, Lookahead};
 
-use crate::block::Block;
 use crate::driver::{
-    ec_lockset, snapshot_world, think_cost, write_cost, EcPort, GameCore, NodeStats, Protocol,
-    RuntimePort,
+    build_runtime, ec_lockset, snapshot_world, think_cost, write_cost, EcPort, GameCore, NodeStats,
+    Protocol, RuntimePort,
 };
 use crate::scenario::Scenario;
 
@@ -142,39 +140,6 @@ pub fn run_churn_node_obs<E: Endpoint>(
     }
 }
 
-/// Builds the runtime for a churn run: the usual deterministic world,
-/// minus the tanks of teams that are not initial members — their spawn
-/// points stay clear until they join. Every process (joiners included)
-/// shares the identical initial bodies, so a snapshot only ever carries
-/// objects modified since the start.
-pub(crate) fn build_churn_runtime<E: Endpoint>(
-    endpoint: E,
-    scenario: &Scenario,
-    plan: &MembershipPlan,
-    obs: Obs,
-) -> Result<SdsoRuntime<E>, DsoError> {
-    let config = DsoConfig {
-        frame_wire_len: scenario.frame_wire_len,
-        merge_diffs: scenario.merge_diffs,
-        reliability: scenario.reliability,
-        wire: scenario.wire,
-        batch_frames: true,
-        ..DsoConfig::paper()
-    };
-    let mut rt = SdsoRuntime::with_obs(endpoint, config, obs);
-    let mut world = scenario.initial_world();
-    for team in 0..scenario.teams {
-        if !plan.is_initial(team) {
-            let idx = scenario.grid.object_at(scenario.start_of(team)).0 as usize;
-            world[idx] = Block::Empty;
-        }
-    }
-    for (idx, block) in world.iter().enumerate() {
-        rt.share(ObjectId(idx as u32), block.encode(scenario.block_bytes))?;
-    }
-    Ok(rt)
-}
-
 /// Brings a runtime into the group: initial members install the plan's
 /// initial view; joiners install the view of their join epoch and block
 /// for the donor's snapshot. Returns the first game tick this process
@@ -222,7 +187,7 @@ fn run_churn_lookahead<E: Endpoint, S: SFunction>(
     obs: Obs,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let mut rt = build_churn_runtime(endpoint, scenario, plan, obs)?;
+    let mut rt = build_runtime(endpoint, scenario, |team| !plan.is_initial(team), obs)?;
     rt.set_diff_router(router);
     let start_tick = enter(&mut rt, plan, me)?;
     let mut node = Lookahead::new(rt, sfunc)?;
@@ -286,7 +251,7 @@ fn run_churn_entry<E: Endpoint>(
     obs: Obs,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let mut rt = build_churn_runtime(endpoint, scenario, plan, obs)?;
+    let mut rt = build_runtime(endpoint, scenario, |team| !plan.is_initial(team), obs)?;
     let start_tick = enter(&mut rt, plan, me)?;
     let mut ec = EntryConsistency::new(rt);
     let mut core = GameCore::with_arbitration(scenario.clone(), me, false);
@@ -400,6 +365,7 @@ fn entry_stats<E: Endpoint>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use sdso_core::ViewChange;
     use sdso_net::memory::MemoryHub;
 

@@ -51,10 +51,9 @@ use sdso_obs::EventKind;
 use sdso_protocols::{EntryConsistency, Lookahead};
 
 use crate::block::Block;
-use crate::churn::build_churn_runtime;
 use crate::driver::{
-    ec_lockset, snapshot_world, think_cost, write_cost, BlockPort, EcPort, GameCore, NodeStats,
-    Protocol, RuntimePort,
+    build_runtime, ec_lockset, snapshot_world, think_cost, write_cost, BlockPort, EcPort, GameCore,
+    NodeStats, Protocol, RuntimePort,
 };
 use crate::scenario::Scenario;
 
@@ -242,7 +241,7 @@ fn rejoin<E: Endpoint>(
     obs: &Obs,
 ) -> Result<SdsoRuntime<E>, DsoError> {
     let me = endpoint.node_id();
-    let mut rt = build_churn_runtime(endpoint, scenario, plan, obs.clone())?;
+    let mut rt = build_runtime(endpoint, scenario, |team| !plan.is_initial(team), obs.clone())?;
     rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
     obs.record(
         rt.now().as_micros(),
@@ -313,7 +312,7 @@ fn run_crash_lookahead<E: Endpoint, S: SFunction, F: Fn(NodeId) -> S>(
     let mut wal_replayed = 0u64;
     let mut recovery_time = SimSpan::ZERO;
 
-    let mut rt = build_churn_runtime(endpoint, scenario, plan, obs.clone())?;
+    let mut rt = build_runtime(endpoint, scenario, |team| !plan.is_initial(team), obs.clone())?;
     rt.set_membership(plan.view_at(0));
     log_ident(&mut store, me, rt.membership().epoch())?;
     let mut node = Lookahead::new(rt, make_sfunc(me))?;
@@ -447,7 +446,7 @@ fn run_crash_entry<E: Endpoint>(
     let mut wal_replayed = 0u64;
     let mut recovery_time = SimSpan::ZERO;
 
-    let mut rt = build_churn_runtime(endpoint, scenario, plan, obs.clone())?;
+    let mut rt = build_runtime(endpoint, scenario, |team| !plan.is_initial(team), obs.clone())?;
     rt.set_membership(plan.view_at(0));
     log_ident(&mut store, me, rt.membership().epoch())?;
     let mut ec = EntryConsistency::new(rt);

@@ -655,9 +655,16 @@ impl<E: Endpoint> BlockPort for CausalPort<'_, E> {
 // Runners
 // ---------------------------------------------------------------------
 
-fn build_runtime<E: Endpoint>(
+/// Builds a game runtime holding the deterministic initial world, minus the
+/// tanks of teams for which `starts_empty` holds: churn and crash runs
+/// leave the spawn cells of teams that are not initial members clear
+/// until they join. Every process (joiners included) shares the identical
+/// initial bodies, so a snapshot only ever carries objects modified since
+/// the start.
+pub(crate) fn build_runtime<E: Endpoint>(
     endpoint: E,
     scenario: &Scenario,
+    starts_empty: impl Fn(NodeId) -> bool,
     obs: Obs,
 ) -> Result<SdsoRuntime<E>, DsoError> {
     let config = DsoConfig {
@@ -669,7 +676,11 @@ fn build_runtime<E: Endpoint>(
         ..DsoConfig::paper()
     };
     let mut rt = SdsoRuntime::with_obs(endpoint, config, obs);
-    for (idx, block) in scenario.initial_world().iter().enumerate() {
+    let mut world = scenario.initial_world();
+    for team in (0..scenario.teams).filter(|&team| starts_empty(team)) {
+        world[scenario.grid.object_at(scenario.start_of(team)).0 as usize] = Block::Empty;
+    }
+    for (idx, block) in world.iter().enumerate() {
         rt.share(ObjectId(idx as u32), block.encode(scenario.block_bytes))?;
     }
     Ok(rt)
@@ -768,7 +779,7 @@ fn run_lookahead<E: Endpoint, S: SFunction>(
     obs: Obs,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let mut rt = build_runtime(endpoint, scenario, obs)?;
+    let mut rt = build_runtime(endpoint, scenario, |_| false, obs)?;
     rt.set_diff_router(router);
     let mut node = Lookahead::new(rt, sfunc)?;
     let mut core = GameCore::new(scenario.clone(), me);
@@ -847,7 +858,7 @@ fn run_entry<E: Endpoint>(
     obs: Obs,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
+    let rt = build_runtime(endpoint, scenario, |_| false, obs)?;
     let mut ec = EntryConsistency::new(rt);
     let mut core = GameCore::with_arbitration(scenario.clone(), me, false);
     let mut compute = SimSpan::ZERO;
@@ -905,7 +916,7 @@ fn run_entry<E: Endpoint>(
 
 fn run_lrc<E: Endpoint>(endpoint: E, scenario: &Scenario, obs: Obs) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
+    let rt = build_runtime(endpoint, scenario, |_| false, obs)?;
     let mut lrc = Lrc::new(rt);
     let mut core = GameCore::with_arbitration(scenario.clone(), me, false);
     let mut compute = SimSpan::ZERO;
@@ -968,7 +979,7 @@ fn run_causal<E: Endpoint>(
     obs: Obs,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
+    let rt = build_runtime(endpoint, scenario, |_| false, obs)?;
     let mut causal = CausalMemory::new(rt);
     // Causal memory arbitrates on possibly-stale views: races resolve by
     // last-writer-wins, so clobbers are tolerated rather than fatal.

@@ -26,64 +26,136 @@
 //! known position cannot predict, so the pair must bound the interaction
 //! time over the spawn positions too.
 
-use sdso_core::{LogicalTime, ObjectStore, SFunction};
+use sdso_core::{LogicalTime, ObjectStore, Revision, SFunction};
 use sdso_net::NodeId;
 
 use crate::block::Block;
 use crate::scenario::Scenario;
 use crate::world::Pos;
 
-/// Extracts `team`'s tank positions from a replica of the world.
-pub fn team_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) -> Vec<Pos> {
-    let grid = scenario.grid;
-    store
-        .iter()
-        .filter_map(|(id, replica)| {
-            let block = Block::decode(replica.data())?;
-            match block {
-                Block::Tank { team: t, .. } if t == team => Some(grid.pos_of(id)),
-                _ => None,
-            }
-        })
-        .collect()
+/// Every team's tanks in a replica of the world, found in one pass over
+/// the store.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TankScan {
+    /// Indexed by team.
+    teams: Vec<Tanks>,
 }
 
-/// The candidate positions of `team` for lookahead purposes: its visible
-/// tanks plus its spawn point (the ghost position respawns teleport to).
-fn candidate_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) -> Vec<Pos> {
-    let mut positions = team_positions(store, scenario, team);
-    positions.push(scenario.start_of(team));
-    positions
+/// One team's entry in a [`TankScan`].
+#[derive(Debug, Clone, Default)]
+struct Tanks {
+    /// Cells holding the team's tank blocks, in object-id order.
+    cells: Vec<Pos>,
+    /// The latest-versioned of those cells with its stamp (the first in
+    /// id order on a tie).
+    latest: Option<(Pos, LogicalTime)>,
+}
+
+impl TankScan {
+    /// Scans `store`, decoding every block once.
+    pub(crate) fn of(store: &ObjectStore, scenario: &Scenario) -> Self {
+        let grid = scenario.grid;
+        let mut teams: Vec<Tanks> = Vec::new();
+        for (id, replica) in store.iter() {
+            let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
+                continue;
+            };
+            let team = usize::from(team);
+            if teams.len() <= team {
+                teams.resize_with(team + 1, Tanks::default);
+            }
+            let tanks = &mut teams[team];
+            let seen = (grid.pos_of(id), replica.version().time);
+            tanks.cells.push(seen.0);
+            if tanks.latest.is_none_or(|best| seen.1 > best.1) {
+                tanks.latest = Some(seen);
+            }
+        }
+        TankScan { teams }
+    }
+
+    /// Every team id up to the highest with a tank block, ascending.
+    pub(crate) fn teams(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.teams.len()).map(|team| team as NodeId)
+    }
+
+    /// `team`'s tank cells in object-id order (phantoms included).
+    pub(crate) fn cells(&self, team: NodeId) -> &[Pos] {
+        self.teams.get(usize::from(team)).map_or(&[], |t| &t.cells)
+    }
+
+    /// `team`'s latest-versioned tank cell and its stamp, if it has any.
+    pub(crate) fn latest(&self, team: NodeId) -> Option<(Pos, LogicalTime)> {
+        self.teams.get(usize::from(team)).and_then(|t| t.latest)
+    }
+}
+
+/// A [`TankScan`] memoised on the store's [`Revision`]: rescheduling every
+/// due peer after a rendezvous costs one scan, not one (or two) per peer.
+/// Equal revisions mean identical contents (the [`SFunction`] memo rule),
+/// so the memo can never serve a scan of other contents.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanMemo {
+    at: Option<Revision>,
+    scan: TankScan,
+}
+
+impl ScanMemo {
+    /// The scan of `view`, rebuilt only if `view` changed since the last
+    /// call.
+    pub(crate) fn scan(&mut self, view: &ObjectStore, scenario: &Scenario) -> &TankScan {
+        let revision = view.revision();
+        if self.at != Some(revision) {
+            self.scan = TankScan::of(view, scenario);
+            self.at = Some(revision);
+        }
+        &self.scan
+    }
+}
+
+/// Extracts `team`'s tank positions from a replica of the world.
+pub fn team_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) -> Vec<Pos> {
+    TankScan::of(store, scenario).cells(team).to_vec()
+}
+
+/// The minimum of `bound` over every cross-team pair of candidate
+/// positions. A team's candidates are its visible tanks plus its spawn
+/// point (the ghost position respawns teleport to).
+fn min_over_candidates(
+    scan: &TankScan,
+    scenario: &Scenario,
+    a: NodeId,
+    b: NodeId,
+    bound: impl Fn(Pos, Pos) -> u64,
+) -> u64 {
+    let candidates = |team| scan.cells(team).iter().copied().chain([scenario.start_of(team)]);
+    let mut best = u64::MAX;
+    for m in candidates(a) {
+        for t in candidates(b) {
+            best = best.min(bound(m, t));
+        }
+    }
+    best
 }
 
 /// Ticks until *any* cross-team tank pair could reach row/column alignment
 /// (the MSYNC trigger), minimised over pairs and ghost positions.
-fn ticks_to_any_alignment(store: &ObjectStore, scenario: &Scenario, a: NodeId, b: NodeId) -> u64 {
-    let ours = candidate_positions(store, scenario, a);
-    let theirs = candidate_positions(store, scenario, b);
-    ours.iter()
-        .flat_map(|&m| theirs.iter().map(move |&t| m.ticks_to_alignment(t)))
-        .min()
-        .unwrap_or(u64::MAX)
+fn ticks_to_any_alignment(scan: &TankScan, scenario: &Scenario, a: NodeId, b: NodeId) -> u64 {
+    min_over_candidates(scan, scenario, a, b, |m, t| m.ticks_to_alignment(t))
 }
 
 /// Ticks until any cross-team pair could be aligned **and** within `d`
 /// blocks (the MSYNC2 trigger).
 fn ticks_to_any_interaction(
-    store: &ObjectStore,
+    scan: &TankScan,
     scenario: &Scenario,
     a: NodeId,
     b: NodeId,
     d: u32,
 ) -> u64 {
-    let ours = candidate_positions(store, scenario, a);
-    let theirs = candidate_positions(store, scenario, b);
-    ours.iter()
-        .flat_map(|&m| {
-            theirs.iter().map(move |&t| m.ticks_to_alignment(t).max(m.ticks_to_within(t, d)))
-        })
-        .min()
-        .unwrap_or(u64::MAX)
+    min_over_candidates(scan, scenario, a, b, |m, t| {
+        m.ticks_to_alignment(t).max(m.ticks_to_within(t, d))
+    })
 }
 
 /// The MSYNC s-function.
@@ -91,12 +163,13 @@ fn ticks_to_any_interaction(
 pub struct Msync {
     me: NodeId,
     scenario: Scenario,
+    memo: ScanMemo,
 }
 
 impl Msync {
     /// Creates the s-function for process `me`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
-        Msync { me, scenario }
+        Msync { me, scenario, memo: ScanMemo::default() }
     }
 }
 
@@ -107,7 +180,8 @@ impl SFunction for Msync {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let delta = ticks_to_any_alignment(view, &self.scenario, self.me, peer);
+        let scan = self.memo.scan(view, &self.scenario);
+        let delta = ticks_to_any_alignment(scan, &self.scenario, self.me, peer);
         Some(now.plus(delta.max(1)))
     }
 }
@@ -118,6 +192,7 @@ pub struct Msync2 {
     me: NodeId,
     scenario: Scenario,
     d: u32,
+    memo: ScanMemo,
 }
 
 impl Msync2 {
@@ -125,7 +200,7 @@ impl Msync2 {
     /// relevance distance as `d`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
         let d = scenario.relevance_distance();
-        Msync2 { me, scenario, d }
+        Msync2 { me, scenario, d, memo: ScanMemo::default() }
     }
 }
 
@@ -136,7 +211,8 @@ impl SFunction for Msync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let delta = ticks_to_any_interaction(view, &self.scenario, self.me, peer, self.d);
+        let scan = self.memo.scan(view, &self.scenario);
+        let delta = ticks_to_any_interaction(scan, &self.scenario, self.me, peer, self.d);
         Some(now.plus(delta.max(1)))
     }
 }
@@ -196,7 +272,7 @@ mod tests {
         // Rows differ by 8; columns far apart. Spawn ghosts may tighten the
         // bound, so compare against the full candidate-set computation.
         let store = store_with_tanks(&s, &[(0, Pos::new(3, 2)), (1, Pos::new(25, 10))]);
-        let expected = ticks_to_any_alignment(&store, &s, 0, 1).max(1);
+        let expected = ticks_to_any_alignment(&TankScan::of(&store, &s), &s, 0, 1).max(1);
         let mut f = Msync::new(0, s);
         let next = f.next_exchange(1, LogicalTime::from_ticks(0), &store).unwrap();
         assert_eq!(next.as_ticks(), expected);

@@ -65,8 +65,8 @@ use sdso_core::{DiffRouter, LogicalTime, ObjectId, ObjectStore, SFunction};
 use sdso_net::NodeId;
 use sdso_shard::{InterestRouter, RegionLattice};
 
-use crate::block::Block;
 use crate::scenario::Scenario;
+use crate::sfuncs::{ScanMemo, TankScan};
 use crate::world::Pos;
 
 /// The group cadence, in logical ticks: out-of-group rendezvous are
@@ -90,30 +90,6 @@ pub fn shard_lattice(scenario: &Scenario) -> RegionLattice {
     RegionLattice::for_grid(scenario.grid.width, scenario.grid.height)
 }
 
-/// The latest-versioned tank position per team visible in a store, as
-/// `(position, Lamport stamp)`. One linear scan; the s-function caches
-/// the result per logical tick, so rescheduling `n` due peers costs one
-/// scan instead of `n`.
-fn tank_frontier(store: &ObjectStore, scenario: &Scenario) -> BTreeMap<NodeId, (Pos, LogicalTime)> {
-    let grid = scenario.grid;
-    let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
-    for (id, replica) in store.iter() {
-        let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
-            continue;
-        };
-        let seen = (grid.pos_of(id), replica.version().time);
-        frontier
-            .entry(team)
-            .and_modify(|best| {
-                if seen.1 > best.1 {
-                    *best = seen;
-                }
-            })
-            .or_insert(seen);
-    }
-    frontier
-}
-
 /// The MSYNC2-SHARD s-function: MSYNC2's interaction bound inside a
 /// shared region group, a [`GROUP_EVERY`]-aligned heartbeat outside it.
 #[derive(Debug, Clone)]
@@ -130,9 +106,9 @@ pub struct ShardMsync2 {
     /// Own position as of the last rendezvous with each peer — what that
     /// peer's replica says about this team while this tank is dead.
     last_delivered: BTreeMap<NodeId, Pos>,
-    /// Per-tick memo of [`tank_frontier`].
-    cache_at: Option<LogicalTime>,
-    cache: BTreeMap<NodeId, (Pos, LogicalTime)>,
+    /// Every team's latest-versioned tank cell, scanned once per store
+    /// revision.
+    memo: ScanMemo,
 }
 
 impl ShardMsync2 {
@@ -149,15 +125,7 @@ impl ShardMsync2 {
             r_int,
             last_seen: BTreeMap::new(),
             last_delivered: BTreeMap::new(),
-            cache_at: None,
-            cache: BTreeMap::new(),
-        }
-    }
-
-    fn refresh_cache(&mut self, now: LogicalTime, view: &ObjectStore) {
-        if self.cache_at != Some(now) {
-            self.cache = tank_frontier(view, &self.scenario);
-            self.cache_at = Some(now);
+            memo: ScanMemo::default(),
         }
     }
 
@@ -187,14 +155,15 @@ impl SFunction for ShardMsync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        self.refresh_cache(now, view);
+        let scan = self.memo.scan(view, &self.scenario);
+        let (peer_latest, own_latest) = (scan.latest(peer), scan.latest(self.me));
         let my_start = self.scenario.start_of(self.me);
         let peer_start = self.scenario.start_of(peer);
 
         // The peer's pair-agreed position: advance only on fresher
         // evidence (a delivered current cell), never on phantom churn.
         let seen = self.last_seen.entry(peer).or_insert((peer_start, LogicalTime::ZERO));
-        if let Some(&fresh) = self.cache.get(&peer) {
+        if let Some(fresh) = peer_latest {
             if fresh.1 >= seen.1 {
                 *seen = fresh;
             }
@@ -204,8 +173,8 @@ impl SFunction for ShardMsync2 {
         // Own pair-agreed position: current when alive (that cell's
         // write is delivered at this very rendezvous), else whatever
         // this pair last rendezvoused on.
-        let own_pos = match self.cache.get(&self.me) {
-            Some(&(p, _)) => {
+        let own_pos = match own_latest {
+            Some((p, _)) => {
                 self.last_delivered.insert(peer, p);
                 p
             }
@@ -248,8 +217,6 @@ impl SFunction for ShardMsync2 {
         // the store, which both endpoints of every pair now share.
         self.last_seen.clear();
         self.last_delivered.clear();
-        self.cache_at = None;
-        self.cache.clear();
     }
 }
 
@@ -304,31 +271,20 @@ impl DiffRouter for ShardRouter {
             }
             self.inner.note_interest(team, start.x, start.y, self.r_int);
         }
-        let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
-        for (id, replica) in store.iter() {
-            let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
-                continue;
-            };
-            if team == self.me {
-                self.anchored.insert(id);
+        // Conservative: every visible tank block (phantoms included)
+        // widens its team's interest; only the freshest one counts as the
+        // team's position for boundary-handoff tracking.
+        let scan = TankScan::of(store, &self.scenario);
+        for team in scan.teams() {
+            for &pos in scan.cells(team) {
+                if team == self.me {
+                    self.anchored.insert(grid.object_at(pos));
+                }
+                self.inner.note_interest(team, pos.x, pos.y, self.r_int);
             }
-            let pos = grid.pos_of(id);
-            // Conservative: every visible tank block (phantoms included)
-            // widens the team's interest; only the freshest one counts
-            // as its position for boundary-handoff tracking.
-            self.inner.note_interest(team, pos.x, pos.y, self.r_int);
-            let seen = (pos, replica.version().time);
-            frontier
-                .entry(team)
-                .and_modify(|best| {
-                    if seen.1 > best.1 {
-                        *best = seen;
-                    }
-                })
-                .or_insert(seen);
-        }
-        for (team, (pos, _)) in frontier {
-            self.inner.note_position(team, pos.x, pos.y, self.r_int, now);
+            if let Some((pos, _)) = scan.latest(team) {
+                self.inner.note_position(team, pos.x, pos.y, self.r_int, now);
+            }
         }
     }
 
@@ -345,6 +301,7 @@ impl DiffRouter for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use crate::world::Direction;
     use sdso_core::ObjectStore;
 
@@ -501,5 +458,113 @@ mod tests {
         // Peer 1's interest box covers cells near its tank.
         let near = s.grid.object_at(Pos::new(36, 21));
         assert!(router.routes(1, near));
+    }
+    /// Node 0's three memoising s-functions.
+    #[derive(Clone)]
+    struct Memoised {
+        msync: crate::sfuncs::Msync,
+        msync2: crate::sfuncs::Msync2,
+        shard: ShardMsync2,
+    }
+
+    impl Memoised {
+        fn new(s: &Scenario) -> Self {
+            Memoised {
+                msync: crate::sfuncs::Msync::new(0, s.clone()),
+                msync2: crate::sfuncs::Msync2::new(0, s.clone()),
+                shard: ShardMsync2::new(0, s.clone()),
+            }
+        }
+
+        /// What a cold memo answers: fresh MSYNC/MSYNC2 instances, and
+        /// this MSYNC2-SHARD's pair beliefs with its memo emptied.
+        fn cold(&self, s: &Scenario) -> Self {
+            let mut cold = Memoised::new(s);
+            cold.shard = ShardMsync2 { memo: ScanMemo::default(), ..self.shard.clone() };
+            cold
+        }
+
+        fn ask(&mut self, peer: NodeId, now: LogicalTime, view: &ObjectStore) -> [LogicalTime; 3] {
+            [
+                self.msync.next_exchange(peer, now, view).unwrap(),
+                self.msync2.next_exchange(peer, now, view).unwrap(),
+                self.shard.next_exchange(peer, now, view).unwrap(),
+            ]
+        }
+
+        /// Asks the long-lived instances, checking them against cold ones.
+        fn check(
+            &mut self,
+            s: &Scenario,
+            peer: NodeId,
+            now: LogicalTime,
+            view: &ObjectStore,
+        ) -> [LogicalTime; 3] {
+            let expected = self.cold(s).ask(peer, now, view);
+            let got = self.ask(peer, now, view);
+            assert_eq!(got, expected, "memoised vs cold, peer {peer} at {now}");
+            got
+        }
+    }
+
+    #[test]
+    fn memo_is_keyed_on_the_store_not_the_time() {
+        // Two stores with identical histories (one `share` per cell) but
+        // different contents: neither `now` nor a bare mutation count can
+        // tell them apart.
+        let s = Scenario::paper(2, 1);
+        let a = store_with_tanks(&s, &[(0, Pos::new(3, 2)), (1, Pos::new(25, 10))]);
+        let b = store_with_tanks(&s, &[(0, Pos::new(3, 2)), (1, Pos::new(3, 20))]);
+        let now = LogicalTime::from_ticks(7);
+        let on_a = Memoised::new(&s).ask(1, now, &a);
+        let on_b = Memoised::new(&s).ask(1, now, &b);
+        for (x, y) in on_a.iter().zip(&on_b) {
+            assert_ne!(x, y, "the stores must yield different schedules");
+        }
+        let mut f = Memoised::new(&s);
+        for view in [&a, &b, &a, &b] {
+            f.check(&s, 1, now, view);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn memoised_sfunctions_answer_like_cold_ones(
+            tanks in proptest::collection::vec((0u16..4, 0u16..32, 0u16..24), 0..6),
+            steps in proptest::collection::vec(
+                (0usize..2, 0u8..3, (0u16..4, 0u16..32, 0u16..24), 0u64..2, 1u16..4),
+                1..24,
+            ),
+        ) {
+            let s = Scenario::paper(4, 2);
+            let world: Vec<(NodeId, Pos)> =
+                tanks.iter().map(|&(team, x, y)| (team, Pos::new(x, y))).collect();
+            // Two stores of one world; each step mutates (or not) one of
+            // them and asks about it, often at an unchanged `now`.
+            let mut stores = [store_with_tanks(&s, &world), store_with_tanks(&s, &world)];
+            let mut f = Memoised::new(&s);
+            let mut now = 1;
+            for (which, kind, (team, x, y), advance, peer) in steps {
+                now += advance;
+                let block = match kind {
+                    0 => Some(Block::Tank {
+                        team,
+                        tank: 0,
+                        hp: 2,
+                        facing: Direction::North,
+                        fired: None,
+                    }),
+                    1 => Some(Block::Empty),
+                    _ => None,
+                };
+                if let Some(block) = block {
+                    let stamp = sdso_core::Version::new(LogicalTime::from_ticks(now), team);
+                    let cell = s.grid.object_at(Pos::new(x, y));
+                    stores[which].write(cell, 0, &block.encode(s.block_bytes), stamp).unwrap();
+                }
+                f.check(&s, peer, LogicalTime::from_ticks(now), &stores[which]);
+            }
+        }
     }
 }
