@@ -72,6 +72,13 @@ fn push_run(out: &mut Vec<Run>, offset: u32, bytes: &[u8]) {
     }
 }
 
+/// The error for a run past the end of an object of `size` bytes. Cold,
+/// so the `format!` stays off the apply path.
+#[cold]
+fn run_exceeds(run: &Run, size: usize) -> NetError {
+    NetError::Codec(format!("diff run [{}, {}) exceeds object size {size}", run.offset, run.end()))
+}
+
 /// Debug check: every byte a run carries at a position where `old == new`
 /// (a coalesced gap) must equal the source image, so applying the diff to
 /// the image it was computed from can never smuggle in stale bytes.
@@ -218,20 +225,20 @@ impl Diff {
     /// Returns an error (leaving `target` unmodified) if any run falls
     /// outside the target.
     pub fn apply(&self, target: &mut [u8]) -> Result<(), NetError> {
-        for run in &self.runs {
-            if run.end() as usize > target.len() {
-                return Err(NetError::Codec(format!(
-                    "diff run [{}, {}) exceeds object size {}",
-                    run.offset,
-                    run.end(),
-                    target.len()
-                )));
-            }
-        }
+        self.check_fits(target.len())?;
         for run in &self.runs {
             target[run.offset as usize..run.end() as usize].copy_from_slice(&run.bytes);
         }
         Ok(())
+    }
+
+    /// Checks that every run lies inside an object of `size` bytes, the
+    /// test [`apply`](Self::apply) makes before it writes anything.
+    pub(crate) fn check_fits(&self, size: usize) -> Result<(), NetError> {
+        match self.runs.iter().find(|run| run.end() as usize > size) {
+            Some(run) => Err(run_exceeds(run, size)),
+            None => Ok(()),
+        }
     }
 
     /// Overlays `newer` onto `self`: the result applied to any buffer equals

@@ -1,11 +1,13 @@
-//! Dirty-range tracking for object replicas.
+//! Dirty-range tracking: the span list behind [`crate::Diff::between_ranges`].
 //!
-//! Every mutation of a replica records the `(offset, len)` span it touched so
-//! diff construction can scan only the bytes that may have changed instead of
-//! the whole object image ([`crate::Diff::between_ranges`]). Tracking is an
-//! optimization, never a correctness dependency: once the span list grows past
-//! [`MAX_SPANS`] (or a caller declares an untracked mutation) the set degrades
-//! to [`untracked`](DirtyRanges::is_untracked) and diff builders fall back to
+//! A caller records the `(offset, len)` span each mutation touched, so diff
+//! construction can scan only the bytes that may have changed instead of the
+//! whole object image. The runtime does not use it (it builds its diffs
+//! straight from writes); it stays as the kernel `perf micro` measures
+//! against the full scan. Tracking is an optimization, never a correctness
+//! dependency: once the span list grows past [`MAX_SPANS`] (or a caller
+//! declares an untracked mutation) the set degrades to
+//! [`untracked`](DirtyRanges::is_untracked) and diff builders fall back to
 //! the full scan.
 
 /// Span-list capacity before tracking collapses to the untracked fallback.

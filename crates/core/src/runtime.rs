@@ -674,16 +674,15 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
     pub fn read(&self, id: ObjectId) -> Result<&[u8], DsoError> {
-        let bytes = self.store.read(id)?;
-        let version = self.store.replica(id)?.version();
+        let replica = self.store.replica(id)?;
         self.obs.record(
             self.endpoint.now().as_micros(),
             EventKind::ObjectRead,
             id.0,
-            version.time.as_ticks() as u32,
+            replica.version().time.as_ticks() as u32,
             0,
         );
-        Ok(bytes)
+        Ok(replica.data())
     }
 
     /// An object's current version stamp.
@@ -2085,6 +2084,40 @@ mod tests {
         for rt in &done {
             assert_eq!(rt.read(ObjectId(1)).unwrap(), &[1, 1, 1, 1, 0, 0, 0, 0]);
             assert_eq!(rt.read(ObjectId(2)).unwrap(), &[2, 2, 2, 2, 0, 0, 0, 0]);
+        }
+    }
+
+    #[test]
+    fn first_data2_decodes_against_the_registered_bytes() {
+        use crate::config::WireConfig;
+        let runtimes: Vec<_> = MemoryHub::new(2)
+            .into_endpoints()
+            .into_iter()
+            .map(|ep| {
+                let config = DsoConfig::compact().with_wire(WireConfig::compressed());
+                let mut rt = SdsoRuntime::new(ep, config);
+                rt.share(ObjectId(1), vec![5u8; 8]).unwrap();
+                rt.share(ObjectId(2), vec![6u8; 8]).unwrap();
+                rt.init_schedule(&mut EveryTick).unwrap();
+                rt
+            })
+            .collect();
+        let done = run_pair(runtimes, |rt| {
+            let me = rt.node_id();
+            let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
+            // The offers cross in an exchange that ships no data.
+            rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            // Two local writes before the object's first `Data2`: both ends
+            // must seed its XOR shadow from the registered bytes, not from
+            // the sender's changed replica.
+            rt.write(obj, 0, &[me as u8 + 1; 2]).unwrap();
+            rt.write(obj, 6, &[me as u8 + 1; 2]).unwrap();
+            rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            assert_eq!(rt.metrics().codec_v2_sent, 1);
+        });
+        for rt in &done {
+            assert_eq!(rt.read(ObjectId(1)).unwrap(), &[1, 1, 5, 5, 5, 5, 1, 1]);
+            assert_eq!(rt.read(ObjectId(2)).unwrap(), &[2, 2, 6, 6, 6, 6, 2, 2]);
         }
     }
 

@@ -1,35 +1,31 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::clock::LogicalTime;
 use crate::diff::Diff;
-use crate::dirty::DirtyRanges;
 use crate::error::DsoError;
 use crate::object::{ObjectId, Version};
+use sdso_net::NodeId;
 
-/// One local replica of a shared object.
-#[derive(Debug, Clone)]
-pub struct Replica {
-    data: Vec<u8>,
+/// A borrowed view of one local replica of a shared object.
+#[derive(Debug, Clone, Copy)]
+pub struct Replica<'a> {
+    data: &'a [u8],
+    initial: &'a [u8],
+    version: Version,
+}
+
+impl<'a> Replica<'a> {
+    /// The replica's current bytes.
+    pub fn data(&self) -> &'a [u8] {
+        self.data
+    }
+
     /// The bytes the object was registered with. Every process registers
     /// the same initial contents (the `share` contract), which makes this a
     /// deterministic seed both ends of a link can derive independently —
     /// the wire codec's XOR shadows start from it.
-    initial: Vec<u8>,
-    version: Version,
-    /// Spans touched since the last [`ObjectStore::clear_dirty`]; lets diff
-    /// builders scan only changed regions ([`Diff::between_ranges`]).
-    dirty: DirtyRanges,
-}
-
-impl Replica {
-    /// The replica's current bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// The bytes the object was registered with (identical on every
-    /// process by the `share` contract).
-    pub fn initial_body(&self) -> &[u8] {
-        &self.initial
+    pub fn initial_body(&self) -> &'a [u8] {
+        self.initial
     }
 
     /// The replica's version stamp.
@@ -40,26 +36,6 @@ impl Replica {
     /// Object size in bytes (fixed at `share` time).
     pub fn size(&self) -> usize {
         self.data.len()
-    }
-
-    /// Byte spans mutated since the last baseline
-    /// ([`ObjectStore::clear_dirty`]); untracked means "assume anything
-    /// changed" and forces a full scan.
-    pub fn dirty_ranges(&self) -> &DirtyRanges {
-        &self.dirty
-    }
-
-    /// Diff from `baseline` to the replica's current bytes, scanning only
-    /// dirty spans (full scan when tracking degraded).
-    ///
-    /// `baseline` must be a snapshot of this replica taken when the dirty set
-    /// was last cleared, so the spans cover every byte that differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` has a different length than the replica.
-    pub fn diff_since(&self, baseline: &[u8]) -> Diff {
-        Diff::between_ranges(baseline, &self.data, &self.dirty)
     }
 }
 
@@ -79,6 +55,32 @@ pub struct Revision {
     mutations: u64,
 }
 
+/// One object's place in the store.
+#[derive(Debug)]
+struct Entry {
+    id: ObjectId,
+    /// The version stamp's two halves, apart so `writer` packs with `id`.
+    writer: NodeId,
+    time: LogicalTime,
+    /// The body is `bodies[at..at + len]`.
+    at: usize,
+    len: usize,
+    /// Where the registered bytes start in `registered`, once the object's
+    /// first change has copied them there; `None` while the body still is
+    /// the registered bytes.
+    registered: Option<usize>,
+}
+
+impl Entry {
+    fn version(&self) -> Version {
+        Version::new(self.time, self.writer)
+    }
+
+    fn stamp(&mut self, version: Version) {
+        (self.time, self.writer) = (version.time, version.writer);
+    }
+}
+
 /// A process's local table of object replicas.
 ///
 /// Objects are registered once with [`ObjectStore::share`] ("all objects are
@@ -86,13 +88,19 @@ pub struct Revision {
 /// `unshare`). Every process registers the same objects with the same
 /// initial contents, so replicas start identical.
 ///
-/// Replicas live in one `Vec` sorted by id: a lookup is a binary search,
+/// Entries live in one `Vec` sorted by id: a lookup is a binary search,
 /// and sharing ids in ascending order (how every program here registers
-/// its objects) is a plain push.
+/// its objects) is a plain push. Bodies live in one byte slab, appended in
+/// `share` order; an object's size never changes, so its offset is stable.
+/// An object's registered bytes are copied into a second slab only when it
+/// first changes: until then its body is its registered bytes.
 #[derive(Debug)]
 pub struct ObjectStore {
     /// Sorted by id; ids are unique.
-    objects: Vec<(ObjectId, Replica)>,
+    entries: Vec<Entry>,
+    bodies: Vec<u8>,
+    /// Registered bytes of the objects that have changed.
+    registered: Vec<u8>,
     revision: Revision,
 }
 
@@ -107,7 +115,12 @@ impl ObjectStore {
     pub fn new() -> Self {
         // Relaxed: the id only has to be unique; it publishes no other data.
         let store = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-        ObjectStore { objects: Vec::new(), revision: Revision { store, mutations: 0 } }
+        ObjectStore {
+            entries: Vec::new(),
+            bodies: Vec::new(),
+            registered: Vec::new(),
+            revision: Revision { store, mutations: 0 },
+        }
     }
 
     /// The current state of the store's contents. It changes on every
@@ -115,47 +128,64 @@ impl ObjectStore {
     /// [`replace`](Self::replace), an applied
     /// [`apply_remote`](Self::apply_remote)) and never repeats, in this
     /// store or any other, so equal revisions mean identical contents and
-    /// anything derived from the contents may be memoised on it. Dirty
-    /// tracking is not content: [`clear_dirty`](Self::clear_dirty) leaves
-    /// the revision as it is.
+    /// anything derived from the contents may be memoised on it. A failed
+    /// or stale operation leaves it as it is.
     pub fn revision(&self) -> Revision {
         self.revision
     }
 
-    /// `Ok(index)` of `id` in `objects`, or `Err(index)` it would be
+    /// `Ok(index)` of `id` in `entries`, or `Err(index)` it would be
     /// inserted at.
     fn position(&self, id: ObjectId) -> Result<usize, usize> {
-        self.objects.binary_search_by_key(&id, |&(k, _)| k)
+        self.entries.binary_search_by_key(&id, |e| e.id)
     }
 
-    fn get(&self, id: ObjectId) -> Option<&Replica> {
-        self.position(id).ok().map(|i| &self.objects[i].1)
+    fn index(&self, id: ObjectId) -> Result<usize, DsoError> {
+        self.position(id).map_err(|_| DsoError::UnknownObject(id))
     }
 
-    fn get_mut(&mut self, id: ObjectId) -> Result<&mut Replica, DsoError> {
-        let i = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
-        Ok(&mut self.objects[i].1)
+    fn view(&self, e: &Entry) -> Replica<'_> {
+        let data = &self.bodies[e.at..e.at + e.len];
+        let initial = e.registered.map_or(data, |r| &self.registered[r..r + e.len]);
+        Replica { data, initial, version: e.version() }
     }
 
-    /// Registers `id` with its initial contents.
+    /// `entries[i]`'s body, about to change. On the object's first change
+    /// its registered bytes are copied aside first, so
+    /// [`initial_body`](Self::initial_body) keeps answering with them.
+    /// Callers have done every check that can fail.
+    fn changing(&mut self, i: usize) -> &mut [u8] {
+        let e = &mut self.entries[i];
+        let (at, end) = (e.at, e.at + e.len);
+        if e.registered.is_none() {
+            e.registered = Some(self.registered.len());
+            self.registered.extend_from_slice(&self.bodies[at..end]);
+        }
+        &mut self.bodies[at..end]
+    }
+
+    /// Registers `id` with its initial contents. sdso-check: hot-path
     ///
     /// # Errors
     ///
     /// Returns [`DsoError::AlreadyShared`] if `id` was registered before.
     pub fn share(&mut self, id: ObjectId, initial: Vec<u8>) -> Result<(), DsoError> {
-        let at = match self.objects.last() {
-            Some(&(last, _)) if last >= id => {
+        let i = match self.entries.last() {
+            Some(last) if last.id >= id => {
                 self.position(id).err().ok_or(DsoError::AlreadyShared(id))?
             }
-            _ => self.objects.len(),
+            _ => self.entries.len(),
         };
-        let replica = Replica {
-            data: initial.clone(),
-            initial,
-            version: Version::INITIAL,
-            dirty: DirtyRanges::new(),
+        let entry = Entry {
+            id,
+            writer: Version::INITIAL.writer,
+            time: Version::INITIAL.time,
+            at: self.bodies.len(),
+            len: initial.len(),
+            registered: None,
         };
-        self.objects.insert(at, (id, replica));
+        self.bodies.extend_from_slice(&initial);
+        self.entries.insert(i, entry);
         self.revision.mutations += 1;
         Ok(())
     }
@@ -165,8 +195,8 @@ impl ObjectStore {
     /// # Errors
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
-    pub fn replica(&self, id: ObjectId) -> Result<&Replica, DsoError> {
-        self.get(id).ok_or(DsoError::UnknownObject(id))
+    pub fn replica(&self, id: ObjectId) -> Result<Replica<'_>, DsoError> {
+        Ok(self.view(&self.entries[self.index(id)?]))
     }
 
     /// Reads an object's bytes.
@@ -179,6 +209,7 @@ impl ObjectStore {
     }
 
     /// Writes `bytes` at `offset`, stamping the replica with `version`.
+    /// sdso-check: hot-path
     ///
     /// # Errors
     ///
@@ -190,43 +221,34 @@ impl ObjectStore {
         bytes: &[u8],
         version: Version,
     ) -> Result<(), DsoError> {
-        let replica = self.get_mut(id)?;
+        let i = self.index(id)?;
+        let size = self.entries[i].len;
         let end = offset as usize + bytes.len();
-        if end > replica.data.len() {
-            return Err(DsoError::OutOfBounds {
-                object: id,
-                offset,
-                len: bytes.len(),
-                size: replica.data.len(),
-            });
+        if end > size {
+            return Err(DsoError::OutOfBounds { object: id, offset, len: bytes.len(), size });
         }
-        replica.data[offset as usize..end].copy_from_slice(bytes);
-        replica.version = replica.version.max(version);
-        replica.dirty.record(offset, bytes.len() as u32);
+        self.changing(i)[offset as usize..end].copy_from_slice(bytes);
+        let e = &mut self.entries[i];
+        e.stamp(e.version().max(version));
         self.revision.mutations += 1;
         Ok(())
     }
 
     /// Replaces an object's entire contents (used by pull-based protocols
-    /// that ship whole bodies rather than diffs).
+    /// that ship whole bodies rather than diffs). sdso-check: hot-path
     ///
     /// # Errors
     ///
     /// Returns [`DsoError::UnknownObject`], or [`DsoError::OutOfBounds`] if
     /// the body size does not match the registered size.
     pub fn replace(&mut self, id: ObjectId, body: &[u8], version: Version) -> Result<(), DsoError> {
-        let replica = self.get_mut(id)?;
-        if body.len() != replica.data.len() {
-            return Err(DsoError::OutOfBounds {
-                object: id,
-                offset: 0,
-                len: body.len(),
-                size: replica.data.len(),
-            });
+        let i = self.index(id)?;
+        let size = self.entries[i].len;
+        if body.len() != size {
+            return Err(DsoError::OutOfBounds { object: id, offset: 0, len: body.len(), size });
         }
-        replica.data.copy_from_slice(body);
-        replica.version = version;
-        replica.dirty.record(0, body.len() as u32);
+        self.changing(i).copy_from_slice(body);
+        self.entries[i].stamp(version);
         self.revision.mutations += 1;
         Ok(())
     }
@@ -254,6 +276,7 @@ impl ObjectStore {
 
     /// Applies a remote diff stamped `version` if (and only if) it is newer
     /// than the replica's version, returning whether it was applied.
+    /// sdso-check: hot-path
     ///
     /// This is the convergence rule: each object's replicas resolve
     /// same-interval concurrent writes by last-writer-wins on
@@ -269,50 +292,39 @@ impl ObjectStore {
         diff: &Diff,
         version: Version,
     ) -> Result<bool, DsoError> {
-        let replica = self.get_mut(id)?;
-        if version <= replica.version {
+        let i = self.index(id)?;
+        let e = &self.entries[i];
+        if version <= e.version() {
             return Ok(false);
         }
-        diff.apply(&mut replica.data).map_err(DsoError::Net)?;
-        replica.version = version;
-        for (offset, bytes) in diff.runs() {
-            replica.dirty.record(offset, bytes.len() as u32);
-        }
+        // Checked before `changing`, so a diff that does not fit copies
+        // nothing aside.
+        diff.check_fits(e.len).map_err(DsoError::Net)?;
+        diff.apply(self.changing(i)).map_err(DsoError::Net)?;
+        self.entries[i].stamp(version);
         self.revision.mutations += 1;
         Ok(true)
     }
 
-    /// Resets `id`'s dirty tracking — call after capturing a baseline
-    /// snapshot so subsequent [`Replica::diff_since`] calls scan only what
-    /// changed from that snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
-    pub fn clear_dirty(&mut self, id: ObjectId) -> Result<(), DsoError> {
-        self.get_mut(id)?.dirty.clear();
-        Ok(())
-    }
-
     /// Number of shared objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.entries.len()
     }
 
     /// Whether no objects are shared.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterates over `(id, replica)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Replica)> {
-        self.objects.iter().map(|(id, r)| (*id, r))
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Replica<'_>)> {
+        self.entries.iter().map(|e| (e.id, self.view(e)))
     }
 
     /// The bytes `id` was registered with, or `None` if it was never
     /// shared. See [`Replica::initial_body`].
     pub fn initial_body(&self, id: ObjectId) -> Option<&[u8]> {
-        self.get(id).map(Replica::initial_body)
+        self.replica(id).ok().map(|r| r.initial_body())
     }
 }
 
@@ -384,61 +396,6 @@ mod tests {
         assert!(s.replace(ObjectId(1), &[1; 3], v(1, 0)).is_err());
         s.replace(ObjectId(1), &[1; 4], v(1, 0)).unwrap();
         assert_eq!(s.replica(ObjectId(1)).unwrap().version(), v(1, 0));
-    }
-
-    #[test]
-    fn writes_record_dirty_spans_and_diff_since_matches_full_scan() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 128]).unwrap();
-        let baseline = s.read(ObjectId(1)).unwrap().to_vec();
-
-        s.write(ObjectId(1), 8, &[1, 2, 3], v(1, 0)).unwrap();
-        s.write(ObjectId(1), 100, &[4; 10], v(2, 0)).unwrap();
-        let replica = s.replica(ObjectId(1)).unwrap();
-        assert_eq!(replica.dirty_ranges().span_count(), 2);
-        assert_eq!(replica.dirty_ranges().dirty_bytes(), 13);
-
-        let tracked = replica.diff_since(&baseline);
-        assert_eq!(tracked, Diff::between(&baseline, replica.data()));
-        assert_eq!(tracked.byte_count(), 13);
-    }
-
-    #[test]
-    fn clear_dirty_starts_a_new_baseline() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 32]).unwrap();
-        s.write(ObjectId(1), 0, &[1; 4], v(1, 0)).unwrap();
-        s.clear_dirty(ObjectId(1)).unwrap();
-        assert!(s.replica(ObjectId(1)).unwrap().dirty_ranges().is_clean());
-
-        let baseline = s.read(ObjectId(1)).unwrap().to_vec();
-        s.write(ObjectId(1), 10, &[2; 2], v(2, 0)).unwrap();
-        let replica = s.replica(ObjectId(1)).unwrap();
-        let tracked = replica.diff_since(&baseline);
-        assert_eq!(tracked, Diff::between(&baseline, replica.data()));
-        assert_eq!(tracked.byte_count(), 2);
-
-        assert!(s.clear_dirty(ObjectId(9)).is_err());
-    }
-
-    #[test]
-    fn replace_and_apply_remote_record_dirty() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 16]).unwrap();
-        s.replace(ObjectId(1), &[1; 16], v(1, 0)).unwrap();
-        assert_eq!(s.replica(ObjectId(1)).unwrap().dirty_ranges().dirty_bytes(), 16);
-
-        s.clear_dirty(ObjectId(1)).unwrap();
-        let remote = Diff::single(4, vec![9; 4]);
-        assert!(s.apply_remote(ObjectId(1), &remote, v(2, 1)).unwrap());
-        let replica = s.replica(ObjectId(1)).unwrap();
-        assert_eq!(replica.dirty_ranges().span_count(), 1);
-        assert_eq!(replica.dirty_ranges().dirty_bytes(), 4);
-
-        // A stale remote diff is discarded and must not dirty anything.
-        s.clear_dirty(ObjectId(1)).unwrap();
-        assert!(!s.apply_remote(ObjectId(1), &remote, v(1, 0)).unwrap());
-        assert!(s.replica(ObjectId(1)).unwrap().dirty_ranges().is_clean());
     }
 
     #[test]

@@ -319,26 +319,6 @@ struct ModelReplica {
     data: Vec<u8>,
     initial: Vec<u8>,
     version: Version,
-    /// Spans recorded since the last `clear_dirty`.
-    dirty: Vec<(u32, u32)>,
-    untracked: bool,
-    /// The contents at the last `clear_dirty` (or `share`).
-    baseline: Vec<u8>,
-}
-
-impl ModelReplica {
-    fn record(&mut self, offset: u32, len: u32) {
-        let mut ranges = DirtyRanges::new();
-        if self.untracked {
-            ranges.mark_untracked();
-        }
-        for &(o, l) in &self.dirty {
-            ranges.record(o, l);
-        }
-        ranges.record(offset, len);
-        self.dirty = ranges.spans().collect();
-        self.untracked = ranges.is_untracked();
-    }
 }
 
 /// What an operation returned, with error variants kept apart.
@@ -384,14 +364,7 @@ fn model_apply(model: &mut BTreeMap<ObjectId, ModelReplica>, op: StoreOp) -> (Ou
             return (Outcome::AlreadyShared(id), false);
         }
         let initial = vec![byte; offset as usize % 8 + 1];
-        let replica = ModelReplica {
-            data: initial.clone(),
-            initial: initial.clone(),
-            version: Version::INITIAL,
-            dirty: Vec::new(),
-            untracked: false,
-            baseline: initial,
-        };
+        let replica = ModelReplica { data: initial.clone(), initial, version: Version::INITIAL };
         model.insert(id, replica);
         return (Outcome::Done(true), true);
     }
@@ -408,7 +381,6 @@ fn model_apply(model: &mut BTreeMap<ObjectId, ModelReplica>, op: StoreOp) -> (Ou
             }
             r.data[offset as usize..end].copy_from_slice(&bytes);
             r.version = r.version.max(version);
-            r.record(offset, len as u32);
             (Outcome::Done(true), true)
         }
         3 | 4 => {
@@ -424,7 +396,6 @@ fn model_apply(model: &mut BTreeMap<ObjectId, ModelReplica>, op: StoreOp) -> (Ou
             }
             r.data.copy_from_slice(&body);
             r.version = version;
-            r.record(0, size as u32);
             (Outcome::Done(true), true)
         }
         5 | 6 => {
@@ -439,15 +410,17 @@ fn model_apply(model: &mut BTreeMap<ObjectId, ModelReplica>, op: StoreOp) -> (Ou
                 r.data[offset as usize..offset as usize + len].copy_from_slice(&bytes);
             }
             r.version = version;
-            r.record(offset, len as u32);
             (Outcome::Done(true), true)
         }
-        _ => {
-            r.dirty.clear();
-            r.untracked = false;
-            r.baseline = r.data.clone();
-            (Outcome::Done(true), false)
-        }
+        // Operations that must fail, leaving everything as it was.
+        _ => match offset % 3 {
+            0 => (Outcome::Codec, false),
+            1 => {
+                let len = len.max(1);
+                (Outcome::OutOfBounds { object: id, offset: size as u32, len, size }, false)
+            }
+            _ => (Outcome::OutOfBounds { object: id, offset: 0, len: size + 1, size }, false),
+        },
     }
 }
 
@@ -468,8 +441,46 @@ fn store_apply(store: &mut sdso_core::ObjectStore, model_id: ObjectId, op: Store
             }
         }
         5 | 6 => outcome(store.apply_remote(model_id, &Diff::single(offset, bytes), version)),
-        _ => outcome(store.clear_dirty(model_id).map(|()| true)),
+        _ => {
+            let size = store.replica(model_id).map_or(0, |r| r.size());
+            match offset % 3 {
+                // Two runs, the second past the end, stamped newer than
+                // any version the other operations draw.
+                0 => {
+                    let diff = Diff::single(0, vec![byte])
+                        .merge(&Diff::single(size as u32 + 1, vec![byte]));
+                    let newest = Version::new(LogicalTime::from_ticks(100), 0);
+                    outcome(store.apply_remote(model_id, &diff, newest))
+                }
+                1 => {
+                    let bytes = vec![byte; len.max(1)];
+                    outcome(store.write(model_id, size as u32, &bytes, version).map(|()| true))
+                }
+                _ => {
+                    outcome(store.replace(model_id, &vec![byte; size + 1], version).map(|()| true))
+                }
+            }
+        }
     }
+}
+
+/// Checks every object of `store` against `model`: contents, version and
+/// registered bytes.
+fn assert_matches(
+    store: &sdso_core::ObjectStore,
+    model: &BTreeMap<ObjectId, ModelReplica>,
+    op: StoreOp,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(store.len(), model.len());
+    for ((id, r), (&mid, m)) in store.iter().zip(model) {
+        prop_assert_eq!(id, mid);
+        prop_assert_eq!(r.data(), &m.data[..], "{:?} contents after {:?}", id, op);
+        prop_assert_eq!(r.version(), m.version, "{:?} version after {:?}", id, op);
+        prop_assert_eq!(r.initial_body(), &m.initial[..], "{:?} initial after {:?}", id, op);
+        prop_assert_eq!(store.read(id).unwrap(), &m.data[..]);
+        prop_assert_eq!(store.initial_body(id), Some(&m.initial[..]));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -503,22 +514,11 @@ proptest! {
                 prop_assert_eq!(a.revision(), before, "no content change: {:?}", op);
             }
             prop_assert_ne!(a.revision(), b.revision());
+            assert_matches(&a, &model, op)?;
         }
-        prop_assert_eq!(a.len(), model.len());
         prop_assert_eq!(a.is_empty(), model.is_empty());
         let ids: Vec<ObjectId> = a.iter().map(|(id, _)| id).collect();
         prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>(), "iter() in id order");
-        for ((id, r), (&mid, m)) in a.iter().zip(&model) {
-            prop_assert_eq!(id, mid);
-            prop_assert_eq!(r.data(), &m.data[..]);
-            prop_assert_eq!(a.read(id).unwrap(), &m.data[..]);
-            prop_assert_eq!(a.initial_body(id), Some(&m.initial[..]));
-            prop_assert_eq!(r.version(), m.version);
-            let spans: Vec<(u32, u32)> = r.dirty_ranges().spans().collect();
-            prop_assert_eq!(spans, m.dirty.clone());
-            prop_assert_eq!(r.dirty_ranges().is_untracked(), m.untracked);
-            prop_assert_eq!(r.diff_since(&m.baseline), Diff::between(&m.baseline, &m.data));
-        }
         for missing in (0..14).map(ObjectId).filter(|id| !model.contains_key(id)) {
             prop_assert!(a.initial_body(missing).is_none());
             prop_assert!(a.read(missing).is_err());
